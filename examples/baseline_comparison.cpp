@@ -11,7 +11,6 @@
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
-#include "src/hdfs/hdfs.h"
 #include "src/hopsfs/hopsfs.h"
 #include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
@@ -106,15 +105,6 @@ main()
         report("cephfs", workload::run_microbench(
                              sim, fs, demo_tree(fs.authoritative_tree()),
                              mcfg));
-    }
-    {
-        sim::Simulation sim;
-        hdfs::HdfsConfig config;
-        config.clients_per_vm = clients / 8;
-        hdfs::Hdfs fs(sim, config);
-        report("hdfs", workload::run_microbench(
-                           sim, fs, demo_tree(fs.authoritative_tree()),
-                           mcfg));
     }
     std::printf("\n(the full sweeps live in build/bench/bench_fig11_* and "
                 "bench_fig12_*)\n");

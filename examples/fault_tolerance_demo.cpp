@@ -13,8 +13,8 @@
 
 #include "src/core/lambda_fs.h"
 #include "src/namespace/tree_builder.h"
+#include "src/sim/fault.h"
 #include "src/sim/simulation.h"
-#include "src/workload/fault_injector.h"
 
 using namespace lfs;
 
@@ -64,14 +64,14 @@ main()
         sim::spawn(co_reader(sim, fs, c, built.files, rng.fork(), stop,
                              completed, failed));
     }
-    workload::FaultInjector injector(sim, sim::sec(8), [&fs](int round) {
+    sim::FaultPlan plan(sim, 1);
+    plan.add_kill_schedule(sim::sec(8), sim::sec(60), [&fs](int round) {
         bool killed = fs.kill_name_node(
             round % fs.platform().deployment_count());
         std::printf("        >>> killed a NameNode in deployment %d\n",
                     round % fs.platform().deployment_count());
         return killed;
     });
-    injector.start(sim::sec(60));
 
     std::printf("t(s)  completed/s   NameNodes  resubmissions  timeouts\n");
     int64_t prev = 0;
@@ -100,6 +100,6 @@ main()
                 "%llu kills survived\n",
                 static_cast<long long>(completed),
                 static_cast<long long>(failed),
-                static_cast<unsigned long long>(injector.kills()));
+                static_cast<unsigned long long>(plan.kills()));
     return 0;
 }

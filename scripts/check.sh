@@ -23,6 +23,8 @@
 #      system) must come back clean, and the two-tier namespace must
 #      hold its bytes/inode ceiling at 1M inodes (set LFS_SKIP_PERF=1
 #      to skip)
+#   8. print the src+bench .cc/.h line count as the last line (for
+#      information only, not a gate)
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 
@@ -162,3 +164,7 @@ echo "  ok: serial and parallel sweeps byte-identical (modulo [perf])"
 scripts/perf_smoke.sh "$BUILD_DIR"
 
 echo "== all checks passed =="
+
+# Informational size measure; never a gate.
+echo "src+bench lines: $(git ls-files src bench | grep -E '\.(cc|h)$' | \
+    xargs cat | wc -l)"

@@ -62,20 +62,20 @@ CephClient::execute(Op op)
             co_return result;
         }
     }
-    // Cap miss or mutating op: round trip to the owning MDS.
-    sim::SimTime t0 = sim.now();
-    co_await fs_.network().transfer(net::LatencyClass::kTcp);
-    sim::SimTime t1 = sim.now();
-    OpResult result = co_await fs_.mds_serve(op, this);
-    sim::SimTime t2 = sim.now();
-    co_await fs_.network().transfer(net::LatencyClass::kTcp);
-    if (attr) {
-        result.ledger.add(sim::LatSeg::kNetClient,
-                          (t1 - t0) + (sim.now() - t2));
-        // Coarse attribution: everything inside the MDS (CPU queueing,
-        // journal append, cap revocation) counts as service compute.
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, t2 - t1);
-    }
+    // Cap miss or mutating op: round trip to the owning MDS. Coarse
+    // attribution: everything inside the MDS (CPU queueing, journal
+    // append, cap revocation) counts as service compute. The lambda lives
+    // in the round's frame until its coroutine finishes.
+    OpResult result = co_await fs_.network().client_round(
+        [&]() -> sim::Task<OpResult> {
+            sim::SimTime start = sim.now();
+            OpResult served = co_await fs_.mds_serve(op, this);
+            if (attr) {
+                served.ledger.add(sim::LatSeg::kNameNodeCpu,
+                                  sim.now() - start);
+            }
+            co_return served;
+        });
     if (result.status.ok() && is_read_op(op.type) &&
         op.type != OpType::kLs && op.type != OpType::kStatFs &&
         !result.via_symlink) {

@@ -10,20 +10,6 @@ namespace lfs::core {
 
 namespace {
 
-/** Fire a DEADLINE_EXCEEDED into @p cell after @p timeout. */
-void
-arm_timeout(sim::Simulation& sim, sim::SimTime timeout,
-            std::shared_ptr<sim::OneShot<OpResult>> cell)
-{
-    sim.schedule(timeout, [cell = std::move(cell)] {
-        if (!cell->is_set()) {
-            OpResult result;
-            result.status = Status::deadline_exceeded("client-side timeout");
-            cell->try_set(std::move(result));
-        }
-    });
-}
-
 /**
  * One TCP round racing into @p cell: hop, serve, hop back. A response
  * from an instance that died mid-request is never delivered — a
@@ -126,22 +112,23 @@ LfsClient::issue_tcp(faas::FunctionInstance* instance, faas::Invocation inv,
                      sim::SimTime timeout)
 {
     ++tcp_rpcs_;
-    auto cell = std::make_shared<sim::OneShot<OpResult>>(rt_.sim);
-    arm_timeout(rt_.sim, timeout, cell);
     // A dropped request never reaches the server (nothing is spawned);
     // a duplicated request races two identical rounds into the same
     // cell — server-side dedup makes the second a retained-result hit.
-    auto request_fault = rt_.network.message_fault(
-        sim::FaultChannel::kClientRpc, sim::MessageDirection::kRequest,
-        instance->deployment_id());
-    if (!request_fault.drop) {
-        if (request_fault.duplicate) {
-            sim::spawn(co_tcp_round(rt_, instance, inv, cell));
-        }
-        sim::spawn(co_tcp_round(rt_, instance, std::move(inv), cell));
-    }
-    OpResult result = co_await cell->wait();
-    co_return result;
+    return sim::race_timeout(
+        rt_.sim, timeout, client_timeout,
+        [this, instance, inv = std::move(inv)](auto cell) mutable {
+            auto request_fault = rt_.network.message_fault(
+                sim::FaultChannel::kClientRpc,
+                sim::MessageDirection::kRequest, instance->deployment_id());
+            if (request_fault.drop) {
+                return;
+            }
+            if (request_fault.duplicate) {
+                sim::spawn(co_tcp_round(rt_, instance, inv, cell));
+            }
+            sim::spawn(co_tcp_round(rt_, instance, std::move(inv), cell));
+        });
 }
 
 sim::Task<OpResult>
@@ -149,20 +136,22 @@ LfsClient::issue_http(int deployment, faas::Invocation inv,
                       sim::SimTime timeout)
 {
     ++http_rpcs_;
-    auto cell = std::make_shared<sim::OneShot<OpResult>>(rt_.sim);
-    arm_timeout(rt_.sim, timeout, cell);
-    auto request_fault = rt_.network.message_fault(
-        sim::FaultChannel::kGateway, sim::MessageDirection::kRequest,
-        deployment);
-    if (!request_fault.drop) {
-        if (request_fault.duplicate) {
-            sim::spawn(co_http_round(rt_, platform_, deployment, inv, cell));
-        }
-        sim::spawn(co_http_round(rt_, platform_, deployment, std::move(inv),
-                                 cell));
-    }
-    OpResult result = co_await cell->wait();
-    co_return result;
+    return sim::race_timeout(
+        rt_.sim, timeout, client_timeout,
+        [this, deployment, inv = std::move(inv)](auto cell) mutable {
+            auto request_fault = rt_.network.message_fault(
+                sim::FaultChannel::kGateway, sim::MessageDirection::kRequest,
+                deployment);
+            if (request_fault.drop) {
+                return;
+            }
+            if (request_fault.duplicate) {
+                sim::spawn(
+                    co_http_round(rt_, platform_, deployment, inv, cell));
+            }
+            sim::spawn(co_http_round(rt_, platform_, deployment,
+                                     std::move(inv), cell));
+        });
 }
 
 sim::Task<void>
@@ -222,13 +211,9 @@ LfsClient::execute(Op op)
     op_span.annotate("client", static_cast<int64_t>(global_id_));
     op.trace = op_span.context();
 
-    // Attribution (DESIGN.md §11): `acc` accumulates across attempts —
-    // backoff sleeps, the wall time of failed attempts (minus whatever
-    // those attempts attributed themselves), and finally the winning
-    // attempt's own ledger. The workload driver finalizes the result
-    // ledger against measured end-to-end latency.
-    const bool attr = rt_.sim.attribution();
-    sim::LatencyLedger acc;
+    // Attribution (DESIGN.md §11): the workload driver finalizes the
+    // returned ledger against measured end-to-end latency.
+    sim::RetryLedger ledger(rt_.sim.attribution());
 
     OpResult result;
     sim::SimTime prev_backoff = config_.backoff_base;
@@ -255,10 +240,7 @@ LfsClient::execute(Op op)
             // retries only extends the outage.
             sim::SimTime backoff_start = rt_.sim.now();
             co_await backoff(attempt, prev_backoff);
-            if (attr) {
-                acc.add(sim::LatSeg::kClientBackoff,
-                        rt_.sim.now() - backoff_start);
-            }
+            ledger.backoff(rt_.sim.now() - backoff_start);
             if (op_expired(op, rt_.sim.now())) {
                 ++deadline_giveups_;
                 op_span.annotate("giveup", "deadline");
@@ -342,18 +324,8 @@ LfsClient::execute(Op op)
                                             : result.status.message());
         attempt_span.end();
         result.trace_id = op.trace.trace_id;
-        if (attr) {
-            // Fold the attempt's ledger into the accumulator. For an
-            // attempt that will be retried, whatever it could not
-            // attribute (timed-out silence, lost replies) is charged to
-            // kClientRetryWait so the op's total still adds up.
-            acc.merge(result.ledger);
-            if (retryable_code(result.status.code())) {
-                acc.add(sim::LatSeg::kClientRetryWait,
-                        latency - result.ledger.total());
-            }
-            result.ledger = acc;
-        }
+        ledger.fold(result.ledger, latency,
+                    retryable_code(result.status.code()));
 
         if (result.status.code() == Code::kDeadlineExceeded) {
             ++timeouts_;

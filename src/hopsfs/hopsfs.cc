@@ -6,36 +6,6 @@
 
 namespace lfs::hopsfs {
 
-namespace {
-
-/** One NameNode round trip over the client's TCP connection. */
-sim::Task<OpResult>
-co_nn_round(net::Network& network, HopsNameNode& nn, Op op)
-{
-    sim::Simulation& sim = network.simulation();
-    sim::SimTime t0 = sim.now();
-    co_await network.transfer(net::LatencyClass::kTcp);
-    sim::SimTime t1 = sim.now();
-    OpResult result = co_await nn.serve(std::move(op));
-    sim::SimTime t2 = sim.now();
-    co_await network.transfer(net::LatencyClass::kTcp);
-    if (sim.attribution()) {
-        result.ledger.add(sim::LatSeg::kNetClient,
-                          (t1 - t0) + (sim.now() - t2));
-    }
-    co_return result;
-}
-
-sim::Task<void>
-co_run_into(sim::Task<OpResult> task,
-            std::shared_ptr<sim::OneShot<OpResult>> cell)
-{
-    OpResult result = co_await std::move(task);
-    cell->try_set(std::move(result));
-}
-
-}  // namespace
-
 HopsFs::HopsFs(sim::Simulation& sim, HopsFsConfig config)
     : sim_(sim),
       config_(config),
@@ -105,8 +75,7 @@ HopsClient::execute(Op op)
     op_span.annotate("client", static_cast<int64_t>(id_));
     op.trace = op_span.context();
     sim::Simulation& sim = fs_.simulation();
-    const bool attr = sim.attribution();
-    sim::LatencyLedger acc;
+    sim::RetryLedger ledger(sim.attribution());
     OpResult result;
     for (int attempt = 1; attempt <= fs_.config().max_attempts; ++attempt) {
         sim::SimTime attempt_start = sim.now();
@@ -115,43 +84,26 @@ HopsClient::execute(Op op)
         // requests round-robin.
         HopsNameNode& nn = fs_.cached() ? fs_.owner_for(op.path)
                                         : fs_.nth(rr_cursor_++);
-        auto cell =
-            std::make_shared<sim::OneShot<OpResult>>(fs_.simulation());
         // Subtree operations legitimately run for many seconds (Table 3).
         sim::SimTime timeout = is_subtree_op(op.type)
                                    ? sim::sec(1800)
                                    : fs_.config().request_timeout;
-        fs_.simulation().schedule(timeout, [cell] {
-            if (!cell->is_set()) {
-                OpResult timed_out;
-                timed_out.status =
-                    Status::deadline_exceeded("client-side timeout");
-                cell->try_set(std::move(timed_out));
-            }
-        });
-        sim::spawn(co_run_into(co_nn_round(fs_.network(), nn, op), cell));
-        result = co_await cell->wait();
-        if (attr) {
-            acc.merge(result.ledger);
-            if (retryable_code(result.status.code())) {
-                acc.add(sim::LatSeg::kClientRetryWait,
-                        (sim.now() - attempt_start) - result.ledger.total());
-            }
-            result.ledger = acc;
-        }
-        if (!retryable_code(result.status.code())) {
+        sim::Task<OpResult> round = fs_.network().client_round(
+            [&nn, op]() mutable { return nn.serve(std::move(op)); });
+        result = co_await sim::race_timeout(sim, timeout, client_timeout,
+                                            std::move(round));
+        const bool failed = retryable_code(result.status.code());
+        ledger.fold(result.ledger, sim.now() - attempt_start, failed);
+        if (!failed) {
             co_return result;
         }
         // Brief jittered pause before resubmitting.
-        sim::SimTime backoff_start = sim.now();
-        co_await sim::delay(fs_.simulation(),
-                            rng_.uniform_duration(sim::msec(10),
-                                                  sim::msec(50)));
-        acc.add(sim::LatSeg::kClientBackoff, sim.now() - backoff_start);
+        sim::SimTime pause =
+            rng_.uniform_duration(sim::msec(10), sim::msec(50));
+        co_await sim::delay(sim, pause);
+        ledger.backoff(pause);
     }
-    if (attr) {
-        result.ledger = acc;
-    }
+    ledger.settle(result.ledger);
     co_return result;
 }
 

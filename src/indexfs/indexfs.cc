@@ -268,17 +268,9 @@ IndexFsClient::execute(Op op)
         agg.status = Status::make_ok();
         agg.inodes_touched = 0;
         for (int s = 0; s < fs_.server_count(); ++s) {
-            sim::SimTime f0 = sim.now();
-            co_await fs_.network().transfer(net::LatencyClass::kTcp);
-            sim::SimTime f1 = sim.now();
-            OpResult part = co_await fs_.server(s).serve(op, sim.now());
-            sim::SimTime f2 = sim.now();
-            co_await fs_.network().transfer(net::LatencyClass::kTcp);
-            if (sim.attribution()) {
-                part.ledger.add(sim::LatSeg::kNetClient,
-                                (f1 - f0) + (sim.now() - f2));
-                agg.ledger.merge(part.ledger);
-            }
+            OpResult part = co_await fs_.network().client_round(
+                [&] { return fs_.server(s).serve(op, sim.now()); });
+            agg.ledger.merge(part.ledger);
             if (!part.status.ok()) {
                 agg.status = part.status;
                 co_return agg;
@@ -317,17 +309,8 @@ IndexFsClient::execute(Op op)
             }
         }
     }
-    sim::SimTime t0 = sim.now();
-    co_await fs_.network().transfer(net::LatencyClass::kTcp);
-    sim::SimTime t1 = sim.now();
-    OpResult result = co_await fs_.server_for(op.path).serve(
-        op, fs_.simulation().now());
-    sim::SimTime t2 = sim.now();
-    co_await fs_.network().transfer(net::LatencyClass::kTcp);
-    if (sim.attribution()) {
-        result.ledger.add(sim::LatSeg::kNetClient,
-                          (t1 - t0) + (sim.now() - t2));
-    }
+    OpResult result = co_await fs_.network().client_round(
+        [&] { return fs_.server_for(op.path).serve(op, sim.now()); });
     // Open-for-read chases symlink rows client-side (the client owns
     // routing in IndexFS): each hop re-routes to the target's server,
     // bounded like tree resolution.
@@ -343,18 +326,9 @@ IndexFsClient::execute(Op op)
             Op hop = op;
             hop.path = result.inode.symlink_target;
             lease_key = hop.path;
-            sim::SimTime h0 = sim.now();
-            co_await fs_.network().transfer(net::LatencyClass::kTcp);
-            sim::SimTime h1 = sim.now();
-            OpResult next = co_await fs_.server_for(hop.path).serve(
-                hop, sim.now());
-            sim::SimTime h2 = sim.now();
-            co_await fs_.network().transfer(net::LatencyClass::kTcp);
-            if (sim.attribution()) {
-                next.ledger.add(sim::LatSeg::kNetClient,
-                                (h1 - h0) + (sim.now() - h2));
-                next.ledger.merge(result.ledger);
-            }
+            OpResult next = co_await fs_.network().client_round(
+                [&] { return fs_.server_for(hop.path).serve(hop, sim.now()); });
+            next.ledger.merge(result.ledger);
             next.via_symlink = true;
             result = std::move(next);
         }

@@ -9,45 +9,6 @@ namespace lfs::indexfs {
 namespace {
 
 sim::Task<void>
-co_run_into(sim::Task<OpResult> task,
-            std::shared_ptr<sim::OneShot<OpResult>> cell)
-{
-    OpResult result = co_await std::move(task);
-    cell->try_set(std::move(result));
-}
-
-void
-arm_timeout(sim::Simulation& sim, sim::SimTime timeout,
-            std::shared_ptr<sim::OneShot<OpResult>> cell)
-{
-    sim.schedule(timeout, [cell] {
-        if (!cell->is_set()) {
-            OpResult result;
-            result.status = Status::deadline_exceeded("client-side timeout");
-            cell->try_set(std::move(result));
-        }
-    });
-}
-
-sim::Task<OpResult>
-co_tcp_round(net::Network& network, faas::FunctionInstance* instance,
-             faas::Invocation inv)
-{
-    sim::Simulation& sim = network.simulation();
-    sim::SimTime t0 = sim.now();
-    co_await network.transfer(net::LatencyClass::kTcp);
-    sim::SimTime t1 = sim.now();
-    OpResult result = co_await instance->serve_tcp(std::move(inv));
-    sim::SimTime t2 = sim.now();
-    co_await network.transfer(net::LatencyClass::kTcp);
-    if (sim.attribution()) {
-        result.ledger.add(sim::LatSeg::kNetClient,
-                          (t1 - t0) + (sim.now() - t2));
-    }
-    co_return result;
-}
-
-sim::Task<void>
 preload_put(lsm::LsmTree& tree, std::string key, ns::INode inode)
 {
     Status st = co_await tree.put(std::move(key), std::move(inode));
@@ -437,8 +398,7 @@ LambdaIndexClient::execute(Op op)
     op.trace = op_span.context();
     int target = fs_.deployment_for(op.path);
     sim::Simulation& sim = fs_.simulation();
-    const bool attr = sim.attribution();
-    sim::LatencyLedger acc;
+    sim::RetryLedger ledger(sim.attribution());
     OpResult result;
     for (int attempt = 1; attempt <= fs_.config().max_attempts; ++attempt) {
         sim::SimTime attempt_start = sim.now();
@@ -457,37 +417,28 @@ LambdaIndexClient::execute(Op op)
                          .deployment(target)
                          .invoke_via_gateway(std::move(inv));
         } else {
-            auto cell = std::make_shared<sim::OneShot<OpResult>>(
-                fs_.simulation());
-            arm_timeout(fs_.simulation(), fs_.config().request_timeout,
-                        cell);
-            sim::spawn(co_run_into(
-                co_tcp_round(fs_.network(), conn, std::move(inv)), cell));
-            result = co_await cell->wait();
+            sim::Task<OpResult> round = fs_.network().client_round(
+                [conn, inv = std::move(inv)]() mutable {
+                    return conn->serve_tcp(std::move(inv));
+                });
+            result = co_await sim::race_timeout(
+                sim, fs_.config().request_timeout, client_timeout,
+                std::move(round));
         }
         // The shared predicate keeps retry classification consistent with
         // the λFS and HopsFS clients (RESOURCE_EXHAUSTED and ABORTED are
         // retryable here too).
-        if (attr) {
-            acc.merge(result.ledger);
-            if (retryable_code(result.status.code())) {
-                acc.add(sim::LatSeg::kClientRetryWait,
-                        (sim.now() - attempt_start) - result.ledger.total());
-            }
-            result.ledger = acc;
-        }
-        if (!retryable_code(result.status.code())) {
+        const bool failed = retryable_code(result.status.code());
+        ledger.fold(result.ledger, sim.now() - attempt_start, failed);
+        if (!failed) {
             co_return result;
         }
-        sim::SimTime backoff_start = sim.now();
-        co_await sim::delay(fs_.simulation(),
-                            rng_.uniform_duration(sim::msec(20),
-                                                  sim::msec(100)));
-        acc.add(sim::LatSeg::kClientBackoff, sim.now() - backoff_start);
+        sim::SimTime pause =
+            rng_.uniform_duration(sim::msec(20), sim::msec(100));
+        co_await sim::delay(sim, pause);
+        ledger.backoff(pause);
     }
-    if (attr) {
-        result.ledger = acc;
-    }
+    ledger.settle(result.ledger);
     co_return result;
 }
 

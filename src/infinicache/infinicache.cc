@@ -123,8 +123,7 @@ InfiniCacheClient::execute(Op op)
 {
     op.op_id = (static_cast<uint64_t>(id_ + 1) << 40) | 0;
     sim::Simulation& sim = fs_.simulation();
-    const bool attr = sim.attribution();
-    sim::LatencyLedger acc;
+    sim::RetryLedger ledger(sim.attribution());
     OpResult result;
     for (int attempt = 1; attempt <= fs_.config().max_attempts; ++attempt) {
         // Every operation is a fresh invocation through the gateway.
@@ -136,29 +135,17 @@ InfiniCacheClient::execute(Op op)
         result = co_await fs_.platform()
                      .deployment(deployment)
                      .invoke_via_gateway(std::move(inv));
-        bool retry = result.status.code() == Code::kUnavailable ||
-                     result.status.code() == Code::kDeadlineExceeded ||
-                     result.status.code() == Code::kInternal;
-        if (attr) {
-            acc.merge(result.ledger);
-            if (retry) {
-                acc.add(sim::LatSeg::kClientRetryWait,
-                        (sim.now() - attempt_start) - result.ledger.total());
-            }
-            result.ledger = acc;
-        }
-        if (!retry) {
+        const bool failed = retryable_code(result.status.code());
+        ledger.fold(result.ledger, sim.now() - attempt_start, failed);
+        if (!failed) {
             co_return result;
         }
-        sim::SimTime backoff_start = sim.now();
-        co_await sim::delay(fs_.simulation(),
-                            rng_.uniform_duration(sim::msec(20),
-                                                  sim::msec(100)));
-        acc.add(sim::LatSeg::kClientBackoff, sim.now() - backoff_start);
+        sim::SimTime pause =
+            rng_.uniform_duration(sim::msec(20), sim::msec(100));
+        co_await sim::delay(sim, pause);
+        ledger.backoff(pause);
     }
-    if (attr) {
-        result.ledger = acc;
-    }
+    ledger.settle(result.ledger);
     co_return result;
 }
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/util/path.h"
 
@@ -19,33 +16,6 @@ describe(std::string_view what, std::string_view p)
     std::string out(what);
     out += p;
     return out;
-}
-
-/**
- * LFS_NAMESPACE_BUDGET_MB: byte budget for slab-resident inode records.
- * Unset/empty disables paging entirely (the tree stays fully resident
- * and behaves byte-identically to the pre-two-tier implementation).
- * Parsing is strict — a typo must not silently run an unbudgeted
- * experiment (same contract as the bench harness env parsers).
- */
-size_t
-budget_from_env()
-{
-    const char* raw = std::getenv("LFS_NAMESPACE_BUDGET_MB");
-    if (raw == nullptr || *raw == '\0') {
-        return SIZE_MAX;
-    }
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(raw, &end, 10);
-    if (errno != 0 || end == raw || *end != '\0') {
-        std::fprintf(stderr,
-                     "LFS_NAMESPACE_BUDGET_MB='%s' is not a whole number "
-                     "of megabytes\n",
-                     raw);
-        std::abort();
-    }
-    return static_cast<size_t>(v) * 1024 * 1024;
 }
 
 /** check_access over the packed record (same bits as the INode form). */
@@ -76,7 +46,7 @@ fault_elapsed_ns(std::chrono::steady_clock::time_point t0)
 
 }  // namespace
 
-NamespaceTree::NamespaceTree() : budget_bytes_(budget_from_env())
+NamespaceTree::NamespaceTree()
 {
     uint32_t slot = slab_.alloc();
     INodeRec& root = slab_.at(slot);

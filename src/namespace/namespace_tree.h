@@ -20,7 +20,7 @@
  * On top sits a two-tier residency layer modelled on AnyCache's InodeTree
  * and the λFS premise that only the hot working set need live near
  * compute: directories, symlinks, and recently-touched file inodes stay
- * slab-resident under a byte budget (LFS_NAMESPACE_BUDGET_MB,
+ * slab-resident under a byte budget (set_budget_bytes(),
  * clock/second-chance eviction); cold file inodes are serialized into an
  * lsm::ColdPageStore and demand-paged back on first touch. Migration is
  * exclusive — an inode lives in exactly one tier — and eviction is
@@ -146,9 +146,9 @@ struct ResidencyStats {
 class NamespaceTree {
   public:
     /**
-     * Creates the tree containing only "/" owned by the superuser. The
-     * residency budget comes from LFS_NAMESPACE_BUDGET_MB (unset: the
-     * tree is always fully resident and the cold tier stays untouched).
+     * Creates the tree containing only "/" owned by the superuser. It
+     * starts unbudgeted: always fully resident, the cold tier untouched,
+     * until set_budget_bytes() gives it a budget.
      */
     NamespaceTree();
 
@@ -306,7 +306,7 @@ class NamespaceTree {
     /** Byte budget for slab-resident records (SIZE_MAX: paging off). */
     size_t budget_bytes() const { return budget_bytes_; }
 
-    /** Override the env-derived budget (tests/benches); enforces now. */
+    /** Set the residency budget (tests/benches); enforces now. */
     void set_budget_bytes(size_t bytes);
 
     /** Per-tier occupancy/traffic counters. */
@@ -554,7 +554,7 @@ class NamespaceTree {
 
     // ---- cold tier ----
     mutable lsm::ColdPageStore cold_;
-    size_t budget_bytes_;
+    size_t budget_bytes_ = SIZE_MAX;
     /**
      * FIFO second-chance ring of eviction candidates — file slots only,
      * so enforcement never wades through pinned directory records (a

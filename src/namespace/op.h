@@ -163,6 +163,15 @@ struct OpResult {
     uint64_t trace_id = 0;
 };
 
+/** What a client's timer delivers when an attempt got no reply in time. */
+inline OpResult
+client_timeout()
+{
+    OpResult result;
+    result.status = Status::deadline_exceeded("client-side timeout");
+    return result;
+}
+
 inline const char*
 op_name(OpType type)
 {

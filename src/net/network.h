@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "src/sim/fault.h"
+#include "src/sim/latency.h"
 #include "src/sim/primitives.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
@@ -67,6 +68,32 @@ class Network {
 
     /** Suspend for a full round trip (two one-way samples). */
     sim::Task<void> round_trip(LatencyClass cls);
+
+    /**
+     * One client <-> server round trip over TCP: hop, await @p serve(),
+     * hop back, and charge both hops to the reply's kNetClient segment.
+     * @p serve is invoked only once the request has landed, so it may
+     * read the clock. When a capture of @p serve is not trivially
+     * copyable (an Op, say), call this in its own statement, not inside
+     * a co_await expression: GCC 12 moves such a closure argument from
+     * the wrong temporary there.
+     */
+    template <typename Serve>
+    auto
+    client_round(Serve serve) -> decltype(serve())
+    {
+        sim::SimTime t0 = sim_.now();
+        co_await transfer(LatencyClass::kTcp);
+        sim::SimTime t1 = sim_.now();
+        auto result = co_await serve();
+        sim::SimTime t2 = sim_.now();
+        co_await transfer(LatencyClass::kTcp);
+        if (sim_.attribution()) {
+            result.ledger.add(sim::LatSeg::kNetClient,
+                              (t1 - t0) + (sim_.now() - t2));
+        }
+        co_return result;
+    }
 
     /**
      * Consult the installed FaultPlan for the fate of one message on

@@ -174,4 +174,56 @@ class LatencyLedger {
 
 #endif  // LFS_NO_ATTRIBUTION
 
+/**
+ * One client op's ledger across its attempts. Each attempt's own ledger
+ * merges in; whatever a failed attempt did not stamp itself (timed-out
+ * silence, lost replies, invoker stalls) is charged to kClientRetryWait,
+ * and each backoff sleep to kClientBackoff, so the op's total still adds
+ * up. Inert unless constructed @p enabled (Simulation::attribution()).
+ */
+class RetryLedger {
+  public:
+    explicit RetryLedger(bool enabled) : enabled_(enabled) {}
+
+    /**
+     * Fold in an attempt that took @p elapsed and stamped @p attempt;
+     * when @p failed, its unstamped remainder is retry wait. Leaves the
+     * running total in @p attempt, ready to return as the op's ledger.
+     */
+    void
+    fold(LatencyLedger& attempt, SimTime elapsed, bool failed)
+    {
+        if (!enabled_) {
+            return;
+        }
+        acc_.merge(attempt);
+        if (failed) {
+            acc_.add(LatSeg::kClientRetryWait, elapsed - attempt.total());
+        }
+        attempt = acc_;
+    }
+
+    /** Charge a backoff sleep of @p d. */
+    void
+    backoff(SimTime d)
+    {
+        if (enabled_) {
+            acc_.add(LatSeg::kClientBackoff, d);
+        }
+    }
+
+    /** Copy the running total into @p out (e.g. after a last backoff). */
+    void
+    settle(LatencyLedger& out) const
+    {
+        if (enabled_) {
+            out = acc_;
+        }
+    }
+
+  private:
+    bool enabled_;
+    LatencyLedger acc_;
+};
+
 }  // namespace lfs::sim

@@ -19,6 +19,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -104,6 +105,56 @@ class OneShot {
     std::optional<T> value_;
     std::coroutine_handle<> waiter_ = {};
 };
+
+/**
+ * A client-side timeout race: the first of a timer and the request's
+ * rounds to fill the cell wins; late finishers are discarded. The timer
+ * is scheduled first and, after @p timeout, fills the cell with
+ * @p on_timeout() unless a round got there first. Then @p start(cell)
+ * spawns the rounds that race into the cell — none, one or several, each
+ * free to stay silent (a lost reply) and leave the cell to the timer.
+ */
+template <typename OnTimeout, typename Start>
+Task<std::invoke_result_t<OnTimeout&>>
+race_timeout(Simulation& sim, SimTime timeout, OnTimeout on_timeout,
+             Start start)
+{
+    using T = std::invoke_result_t<OnTimeout&>;
+    auto cell = std::make_shared<OneShot<T>>(sim);
+    sim.schedule(timeout, [cell, on_timeout] {
+        if (!cell->is_set()) {
+            cell->try_set(on_timeout());
+        }
+    });
+    start(cell);
+    co_return co_await cell->wait();
+}
+
+namespace detail {
+
+/** Await @p round and deliver its value into @p cell. */
+template <typename T>
+Task<void>
+deliver(Task<T> round, std::shared_ptr<OneShot<T>> cell)
+{
+    T value = co_await std::move(round);
+    cell->try_set(std::move(value));
+}
+
+}  // namespace detail
+
+/** race_timeout for a single round that always answers. */
+template <typename OnTimeout, typename T>
+Task<T>
+race_timeout(Simulation& sim, SimTime timeout, OnTimeout on_timeout,
+             Task<T> round)
+{
+    return race_timeout(
+        sim, timeout, std::move(on_timeout),
+        [round = std::move(round)](std::shared_ptr<OneShot<T>> cell) mutable {
+            spawn(detail::deliver(std::move(round), std::move(cell)));
+        });
+}
 
 /**
  * A one-shot broadcast event: any number of processes may wait; set()

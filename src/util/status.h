@@ -40,9 +40,10 @@ const char* code_name(Code code);
  * DEADLINE_EXCEEDED, ABORTED, INTERNAL, and RESOURCE_EXHAUSTED (admission
  * rejected under overload — retry after backoff, subject to the retry
  * budget). User-visible outcomes (NOT_FOUND, ALREADY_EXISTS, ...) are
- * definitive answers and never retried. Every client retry loop in the
- * repository (λFS, HopsFS, λIndexFS) classifies through this one
- * predicate so the baselines stay comparable.
+ * definitive answers and never retried. Every client that resubmits
+ * (λFS, HopsFS, λIndexFS, InfiniCache) classifies through this one
+ * predicate so the baselines stay comparable; the CephFS and IndexFS
+ * clients never resubmit.
  */
 constexpr bool
 retryable_code(Code code)

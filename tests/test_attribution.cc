@@ -11,6 +11,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
@@ -19,6 +20,7 @@
 #include "src/indexfs/lambda_indexfs.h"
 #include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
+#include "src/sim/fault.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/latency.h"
 #include "src/sim/metrics.h"
@@ -188,6 +190,52 @@ expect_invariant(const TimedResult& timed, const std::string& what)
 }
 
 /**
+ * A forced-retry op: the ledger still sums to end-to-end, the failed
+ * attempt's silence is charged to client retry wait and the pause before
+ * the resubmission to client backoff.
+ */
+void
+expect_retry_invariant(const TimedResult& timed, const std::string& what)
+{
+    expect_invariant(timed, what);
+    EXPECT_GT(timed.result.ledger.get(LatSeg::kClientRetryWait), 0) << what;
+    EXPECT_GT(timed.result.ledger.get(LatSeg::kClientBackoff), 0) << what;
+}
+
+/**
+ * Stall, then crash, every function invocation admitted in the next
+ * 1.5 s: each attempt it catches fails after 2 ms it cannot account for.
+ * Every crash costs the next attempt a cold start (>= 0.5 s), so a
+ * resubmission lands past the window within a few attempts.
+ */
+void
+crash_invocations_briefly(sim::FaultPlan& plan, Simulation& sim)
+{
+    sim::InstanceFaultWindow crash;
+    crash.from = sim.now();
+    crash.until = sim.now() + sim::msec(1500);
+    crash.crash_p = 1.0;
+    crash.crash_delay_max = 0;
+    crash.stall_p = 1.0;
+    crash.stall_min = sim::msec(2);
+    crash.stall_max = sim::msec(2);
+    plan.add_instance_faults(crash);
+}
+
+/** Function invocations (one exec span each) the tracer has recorded. */
+size_t
+traced_invocations(Simulation& sim)
+{
+    size_t n = 0;
+    for (const sim::SpanView& span : sim.tracer().snapshot()) {
+        if (std::string_view(span.name).starts_with("exec_")) {
+            ++n;
+        }
+    }
+    return n;
+}
+
+/**
  * Satellite invariant sweep: every extended op kind (links, setattr,
  * statfs, sessions, GC) must satisfy the sum-to-e2e ledger invariant on
  * the given system. @p base is an existing directory with file @p file
@@ -254,6 +302,16 @@ TEST(AttributionInvariant, LambdaFs)
     expect_invariant(run_timed(sim, fs, 0, make_op(OpType::kStat, "/d/f")),
                      "lambda-fs cached stat");
     expect_extended_ops_invariant(sim, fs, "/d", "/d/f", "lambda-fs");
+
+    // Forced retry: the crashed attempt's reply never comes, the client
+    // times out and resubmits.
+    sim::FaultPlan plan(sim, 1);
+    crash_invocations_briefly(plan, sim);
+    uint64_t before = fs.lfs_client(0).resubmissions();
+    expect_retry_invariant(
+        run_timed(sim, fs, 0, make_op(OpType::kStat, "/d/f")),
+        "lambda-fs forced retry");
+    EXPECT_GT(fs.lfs_client(0).resubmissions(), before);
 }
 
 TEST(AttributionInvariant, HopsFs)
@@ -276,6 +334,24 @@ TEST(AttributionInvariant, HopsFs)
         run_timed(sim, fs, 1, make_op(OpType::kCreateFile, "/d/g")),
         "hopsfs create");
     expect_extended_ops_invariant(sim, fs, "/d", "/d/f", "hopsfs");
+
+    // Forced retry: a store outage longer than the request timeout
+    // stalls the first attempt until the client gives up on it.
+    sim::FaultPlan plan(sim, 1);
+    plan.add_store_outage(
+        {-1, sim.now(), sim.now() + config.request_timeout + sim::sec(1)});
+    auto served = [&fs, &config] {
+        uint64_t total = 0;
+        for (int i = 0; i < config.num_name_nodes; ++i) {
+            total += fs.name_node(i).requests_served();
+        }
+        return total;
+    };
+    uint64_t before = served();
+    expect_retry_invariant(
+        run_timed(sim, fs, 0, make_op(OpType::kStat, "/d/f")),
+        "hopsfs forced retry");
+    EXPECT_GE(served() - before, 2u) << "hopsfs op was not resubmitted";
 }
 
 TEST(AttributionInvariant, CephFs)
@@ -343,6 +419,17 @@ TEST(AttributionInvariant, LambdaIndexFs)
         "lambda-indexfs stat");
     expect_extended_ops_invariant(sim, fs, "/tt/d0", "/tt/d0/n1",
                                   "lambda-indexfs");
+
+    // Forced retry: the crashed attempt fails UNAVAILABLE and is
+    // resubmitted after the client's backoff.
+    sim::FaultPlan plan(sim, 1);
+    crash_invocations_briefly(plan, sim);
+    sim.tracer().set_enabled(true);
+    expect_retry_invariant(
+        run_timed(sim, fs, 1, make_op(OpType::kStat, "/tt/d0/n1")),
+        "lambda-indexfs forced retry");
+    EXPECT_GE(traced_invocations(sim), 2u)
+        << "lambda-indexfs op was not resubmitted";
 }
 
 TEST(AttributionInvariant, InfiniCache)
@@ -366,6 +453,17 @@ TEST(AttributionInvariant, InfiniCache)
     fs.authoritative_tree().mkdirs("/d", setup_root, 0);
     fs.authoritative_tree().create_file("/d/f", setup_root, 0);
     expect_extended_ops_invariant(sim, fs, "/d", "/d/f", "infinicache");
+
+    // Forced retry: the crashed attempt fails UNAVAILABLE and is
+    // resubmitted through the gateway after the client's backoff.
+    sim::FaultPlan plan(sim, 1);
+    crash_invocations_briefly(plan, sim);
+    sim.tracer().set_enabled(true);
+    expect_retry_invariant(
+        run_timed(sim, fs, 0, make_op(OpType::kStat, "/d/f")),
+        "infinicache forced retry");
+    EXPECT_GE(traced_invocations(sim), 2u)
+        << "infinicache op was not resubmitted";
 }
 
 TEST(AttributionInvariant, OffByDefaultLeavesLedgerEmpty)

@@ -362,5 +362,20 @@ TEST(FaultDeterminism, SameSeedProducesIdenticalMetrics)
     EXPECT_NE(a.metrics_json, c.metrics_json);
 }
 
+TEST(FaultPlan, KillScheduleFiresAtIntervalUntilDeadline)
+{
+    Simulation sim;
+    sim::FaultPlan plan(sim, 1);
+    std::vector<int> rounds;
+    plan.add_kill_schedule(sim::sec(10), sim::sec(60), [&rounds](int round) {
+        rounds.push_back(round);
+        return round % 2 == 0;  // only even rounds "kill" something
+    });
+    sim.run();
+    EXPECT_EQ(rounds.size(), 6u);  // t=10..60
+    EXPECT_EQ(plan.kill_rounds(), 6);
+    EXPECT_EQ(plan.kills(), 3u);
+}
+
 }  // namespace
 }  // namespace lfs::core

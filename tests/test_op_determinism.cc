@@ -8,6 +8,12 @@
  * landed, so it proves the new op plumbing leaves every legacy schedule
  * byte-identical while the new ops are not used — the same property the
  * perf-smoke gate checks for fig11 output.
+ *
+ * The same driver runs against every baseline under a FaultPlan that
+ * forces client-side timeouts, resubmissions or perturbed round trips,
+ * with attribution on so the retry ledger is folded into the hash too.
+ * Those goldens pin each client's request path — the timeout race, the
+ * TCP round trip and the attempt/backoff ledger — byte for byte.
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +21,13 @@
 #include <string>
 #include <vector>
 
+#include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
+#include "src/hopsfs/hopsfs.h"
+#include "src/indexfs/indexfs.h"
+#include "src/indexfs/lambda_indexfs.h"
+#include "src/infinicache/infinicache.h"
+#include "src/sim/fault.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
 
@@ -31,6 +43,21 @@ class TraceHash {
         for (int i = 0; i < 8; ++i) {
             h_ ^= (v >> (8 * i)) & 0xff;
             h_ *= 1099511628211ull;
+        }
+    }
+
+    /**
+     * Fold an op's outcome-independent ledger in when attribution is on
+     * (off in the λFS legacy/extended goldens, which predate it).
+     */
+    void
+    mix_ledger(const sim::Simulation& sim, const sim::LatencyLedger& ledger)
+    {
+        if (!sim.attribution()) {
+            return;
+        }
+        for (size_t i = 0; i < sim::kLatSegCount; ++i) {
+            mix(static_cast<uint64_t>(ledger.get(static_cast<sim::LatSeg>(i))));
         }
     }
 
@@ -71,7 +98,7 @@ small_config(uint64_t seed)
  * cascades into a different trace.
  */
 sim::Task<void>
-co_legacy_driver(sim::Simulation& sim, LambdaFs& fs, sim::Rng& rng,
+co_legacy_driver(sim::Simulation& sim, workload::Dfs& fs, sim::Rng& rng,
                  int steps, TraceHash& hash, bool& done)
 {
     for (int step = 0; step < steps; ++step) {
@@ -102,8 +129,31 @@ co_legacy_driver(sim::Simulation& sim, LambdaFs& fs, sim::Rng& rng,
         hash.mix(static_cast<uint64_t>(result.status.code()));
         hash.mix(static_cast<uint64_t>(result.inode.id));
         hash.mix(result.inode.version);
+        hash.mix_ledger(sim, result.ledger);
     }
     done = true;
+}
+
+using Driver = sim::Task<void> (*)(sim::Simulation&, workload::Dfs&,
+                                   sim::Rng&, int, TraceHash&, bool&);
+
+/**
+ * Run @p driver for @p steps seeded ops through client 0 of @p fs and
+ * return the trace hash, closed with the event count and final clock.
+ */
+uint64_t
+trace_hash(sim::Simulation& sim, workload::Dfs& fs, Driver driver,
+           uint64_t seed, int steps)
+{
+    TraceHash hash;
+    sim::Rng rng(seed);
+    bool done = false;
+    sim::spawn(driver(sim, fs, rng, steps, hash, done));
+    sim.run_until(sim.now() + sim::sec(100000));
+    EXPECT_TRUE(done);
+    hash.mix(static_cast<uint64_t>(sim.events_executed()));
+    hash.mix(static_cast<uint64_t>(sim.now()));
+    return hash.value();
 }
 
 uint64_t
@@ -112,16 +162,7 @@ run_legacy_workload(uint64_t seed, int steps)
     sim::Simulation sim;
     LambdaFs fs(sim, small_config(seed));
     sim.run_until(sim::sec(2));
-
-    TraceHash hash;
-    sim::Rng rng(seed);
-    bool done = false;
-    sim::spawn(co_legacy_driver(sim, fs, rng, steps, hash, done));
-    sim.run_until(sim.now() + sim::sec(100000));
-    EXPECT_TRUE(done);
-    hash.mix(static_cast<uint64_t>(sim.events_executed()));
-    hash.mix(static_cast<uint64_t>(sim.now()));
-    return hash.value();
+    return trace_hash(sim, fs, co_legacy_driver, seed, steps);
 }
 
 /**
@@ -148,7 +189,7 @@ TEST(OpDeterminism, LegacyRepeatRunsAreBitIdentical)
  * GC reclaim counts) into the trace hash.
  */
 sim::Task<void>
-co_extended_driver(sim::Simulation& sim, LambdaFs& fs, sim::Rng& rng,
+co_extended_driver(sim::Simulation& sim, workload::Dfs& fs, sim::Rng& rng,
                    int steps, TraceHash& hash, bool& done)
 {
     uint64_t next_sid = 1;
@@ -222,6 +263,7 @@ co_extended_driver(sim::Simulation& sim, LambdaFs& fs, sim::Rng& rng,
         hash.mix(static_cast<uint64_t>(result.stats.inodes));
         hash.mix(static_cast<uint64_t>(result.stats.open_sessions));
         hash.mix(static_cast<uint64_t>(result.stats.orphans));
+        hash.mix_ledger(sim, result.ledger);
     }
     done = true;
 }
@@ -232,16 +274,7 @@ run_extended_workload(uint64_t seed, int steps)
     sim::Simulation sim;
     LambdaFs fs(sim, small_config(seed));
     sim.run_until(sim::sec(2));
-
-    TraceHash hash;
-    sim::Rng rng(seed);
-    bool done = false;
-    sim::spawn(co_extended_driver(sim, fs, rng, steps, hash, done));
-    sim.run_until(sim.now() + sim::sec(100000));
-    EXPECT_TRUE(done);
-    hash.mix(static_cast<uint64_t>(sim.events_executed()));
-    hash.mix(static_cast<uint64_t>(sim.now()));
-    return hash.value();
+    return trace_hash(sim, fs, co_extended_driver, seed, steps);
 }
 
 /**
@@ -260,6 +293,177 @@ TEST(OpDeterminism, ExtendedOpsGoldenTrace)
 TEST(OpDeterminism, ExtendedRepeatRunsAreBitIdentical)
 {
     EXPECT_EQ(run_extended_workload(99, 150), run_extended_workload(99, 150));
+}
+
+// ---------------------------------------------------------------------
+// Request paths under faults. Each run turns attribution on, installs a
+// FaultPlan that hits the system's client path, warms up for 2 s, then
+// drives both op alphabets. The goldens were captured before the client
+// request paths were consolidated and must never be re-captured.
+// ---------------------------------------------------------------------
+
+constexpr uint64_t kFaultSeed = 0xfa17ed;
+
+/** Start of the extended-alphabet phase (each phase drains 100000 s). */
+constexpr sim::SimTime kExtendedPhase = sim::sec(2) + sim::sec(100000);
+
+/** Legacy then extended alphabet through client 0, one combined hash. */
+uint64_t
+faulted_trace(sim::Simulation& sim, workload::Dfs& fs)
+{
+    sim.run_until(sim::sec(2));
+    uint64_t legacy = trace_hash(sim, fs, co_legacy_driver, kFaultSeed, 200);
+    EXPECT_EQ(sim.now(), kExtendedPhase);
+    uint64_t extended =
+        trace_hash(sim, fs, co_extended_driver, kFaultSeed + 1, 200);
+    return legacy ^ (extended * 31);
+}
+
+/**
+ * Mid-invocation instance crashes and invoker stalls from 2 s on (FaaS
+ * systems). A stall is time the failed attempt leaves unattributed.
+ */
+void
+add_crashes(sim::FaultPlan& plan, double crash_p)
+{
+    sim::InstanceFaultWindow crashes;
+    crashes.from = sim::sec(2);
+    crashes.until = sim::sec(1000000);
+    crashes.crash_p = crash_p;
+    crashes.stall_p = 0.1;
+    plan.add_instance_faults(crashes);
+}
+
+/**
+ * Extra in-flight delay on client <-> server TCP hops from 2 s on. With
+ * @p max past a client's request timeout, some attempts time out.
+ */
+void
+add_client_delays(sim::FaultPlan& plan, sim::SimTime max)
+{
+    sim::MessageFaultWindow delays;
+    delays.from = sim::sec(2);
+    delays.until = sim::sec(1000000);
+    delays.channels = sim::channel_bit(sim::FaultChannel::kClientRpc);
+    delays.delay_p = 0.05;
+    delays.delay_min = sim::msec(1);
+    delays.delay_max = max;
+    plan.add_message_faults(delays);
+}
+
+TEST(OpDeterminism, LambdaFsFaultedGoldenTrace)
+{
+    sim::Simulation sim;
+    sim.set_attribution(true);
+    LambdaFs fs(sim, small_config(kFaultSeed));
+    sim::FaultPlan plan(sim, kFaultSeed);
+    add_crashes(plan, 0.05);
+    sim::MessageFaultWindow wire;
+    wire.from = sim::sec(2);
+    wire.until = sim::sec(1000000);
+    wire.channels = sim::channel_bit(sim::FaultChannel::kClientRpc) |
+                    sim::channel_bit(sim::FaultChannel::kGateway);
+    wire.drop_reply_p = 0.03;
+    wire.duplicate_p = 0.03;
+    plan.add_message_faults(wire);
+    uint64_t hash = faulted_trace(sim, fs);
+    EXPECT_GT(fs.lfs_client(0).resubmissions(), 0u);
+    EXPECT_EQ(hash, 0x8d97bec8ae80cf5aull);
+}
+
+TEST(OpDeterminism, HopsFsStoreOutageGoldenTrace)
+{
+    sim::Simulation sim;
+    sim.set_attribution(true);
+    hopsfs::HopsFsConfig config;
+    config.num_name_nodes = 4;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 2;
+    config.seed = kFaultSeed;
+    hopsfs::HopsFs fs(sim, config);
+    sim::FaultPlan plan(sim, kFaultSeed);
+    // One outage per phase, each outlasting the 5 s request timeout, so
+    // the attempt caught in it times out client-side and is resubmitted.
+    plan.add_store_outage({-1, sim::msec(2200), sim::sec(9)});
+    plan.add_store_outage({-1, kExtendedPhase + sim::msec(200),
+                           kExtendedPhase + sim::sec(7)});
+    add_client_delays(plan, sim::sec(6));
+    uint64_t hash = faulted_trace(sim, fs);
+    EXPECT_GT(plan.store_stalled_ops(), 0u);
+    EXPECT_EQ(hash, 0x403ec21e9f16be34ull);
+}
+
+TEST(OpDeterminism, LambdaIndexFsCrashGoldenTrace)
+{
+    sim::Simulation sim;
+    sim.set_attribution(true);
+    indexfs::LambdaIndexFsConfig config;
+    config.num_deployments = 2;
+    config.total_vcpus = 16.0;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 2;
+    config.num_lsm_instances = 2;
+    config.seed = kFaultSeed;
+    indexfs::LambdaIndexFs fs(sim, config);
+    sim::FaultPlan plan(sim, kFaultSeed);
+    add_crashes(plan, 0.05);
+    add_client_delays(plan, sim::sec(16));
+    uint64_t hash = faulted_trace(sim, fs);
+    EXPECT_GT(plan.instance_crashes(), 0u);
+    EXPECT_EQ(hash, 0x84c43b484a2fecccull);
+}
+
+TEST(OpDeterminism, InfiniCacheCrashGoldenTrace)
+{
+    sim::Simulation sim;
+    sim.set_attribution(true);
+    infinicache::InfiniCacheConfig config;
+    config.num_functions = 4;
+    config.total_vcpus = 32.0;
+    config.function.vcpus = 4.0;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 2;
+    config.seed = kFaultSeed;
+    infinicache::InfiniCacheFs fs(sim, config);
+    sim::FaultPlan plan(sim, kFaultSeed);
+    add_crashes(plan, 0.05);
+    uint64_t hash = faulted_trace(sim, fs);
+    EXPECT_GT(plan.instance_crashes(), 0u);
+    EXPECT_EQ(hash, 0x68540366b91f9260ull);
+}
+
+TEST(OpDeterminism, CephFsDelayedRpcGoldenTrace)
+{
+    sim::Simulation sim;
+    sim.set_attribution(true);
+    cephfs::CephFsConfig config;
+    config.num_mds = 2;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 2;
+    config.seed = kFaultSeed;
+    cephfs::CephFs fs(sim, config);
+    sim::FaultPlan plan(sim, kFaultSeed);
+    add_client_delays(plan, sim::msec(20));
+    uint64_t hash = faulted_trace(sim, fs);
+    EXPECT_GT(plan.messages_delayed(), 0u);
+    EXPECT_EQ(hash, 0x7b1762698c922305ull);
+}
+
+TEST(OpDeterminism, IndexFsDelayedRpcGoldenTrace)
+{
+    sim::Simulation sim;
+    sim.set_attribution(true);
+    indexfs::IndexFsConfig config;
+    config.num_servers = 2;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 2;
+    config.seed = kFaultSeed;
+    indexfs::IndexFs fs(sim, config);
+    sim::FaultPlan plan(sim, kFaultSeed);
+    add_client_delays(plan, sim::msec(20));
+    uint64_t hash = faulted_trace(sim, fs);
+    EXPECT_GT(plan.messages_delayed(), 0u);
+    EXPECT_EQ(hash, 0xcaff5a292cfc2c5bull);
 }
 
 }  // namespace

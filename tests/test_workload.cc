@@ -11,7 +11,6 @@
 
 #include "src/core/lambda_fs.h"
 #include "src/namespace/tree_builder.h"
-#include "src/workload/fault_injector.h"
 #include "src/workload/microbench.h"
 #include "src/workload/op_mix.h"
 #include "src/workload/path_population.h"
@@ -242,20 +241,6 @@ TEST(TreeTest, FixedTotalSplitsAcrossClients)
     TreeTestResult result =
         run_tree_test(sim, dfs, config, /*prepare_dir=*/nullptr);
     EXPECT_EQ(result.writes, 1000);
-}
-
-TEST(FaultInjector, FiresAtIntervalUntilDeadline)
-{
-    Simulation sim;
-    std::vector<int> rounds;
-    FaultInjector injector(sim, sim::sec(10), [&rounds](int round) {
-        rounds.push_back(round);
-        return round % 2 == 0;  // only even rounds "kill" something
-    });
-    injector.start(sim::sec(60));
-    sim.run();
-    EXPECT_EQ(rounds.size(), 6u);  // t=10..60
-    EXPECT_EQ(injector.kills(), 3u);
 }
 
 }  // namespace
