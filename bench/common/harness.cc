@@ -334,6 +334,7 @@ run_perf(const sim::Simulation& sim)
     RunPerf perf;
     perf.events = sim.events_executed();
     perf.peak_backlog = sim.peak_pending();
+    perf.cancelled = sim.events_cancelled();
     auto it = g_run_started.find(&sim);
     if (it != g_run_started.end()) {
         perf.wall_seconds = std::chrono::duration<double>(
@@ -367,9 +368,10 @@ observe_run(sim::Simulation& sim, const std::string& label)
     RunPerf perf = run_perf(sim);
     g_run_started.erase(&sim);
     std::printf("  [perf] %s: events=%llu wall_s=%.3f events_per_sec=%.0f "
-                "peak_backlog=%zu\n",
+                "peak_backlog=%zu cancelled=%llu\n",
                 label.c_str(), static_cast<unsigned long long>(perf.events),
-                perf.wall_seconds, perf.events_per_sec, perf.peak_backlog);
+                perf.wall_seconds, perf.events_per_sec, perf.peak_backlog,
+                static_cast<unsigned long long>(perf.cancelled));
     if (!g_observability.trace_out.empty()) {
         // One pid per captured run keeps runs separable in Perfetto.
         int pid = g_trace_pid_base +
@@ -399,7 +401,7 @@ observe_run(sim::Simulation& sim, const std::string& label)
             ",\"wall_s\":" + fmt(perf.wall_seconds, 4) +
             ",\"events_per_sec\":" + fmt(perf.events_per_sec, 0) +
             ",\"peak_event_backlog\":" + std::to_string(perf.peak_backlog) +
-            "}," +
+            ",\"cancelled\":" + std::to_string(perf.cancelled) + "}," +
             (exemplars.empty() ? std::string()
                                : "\"exemplars\":" + exemplars + ",") +
             "\"data\":" + sim.metrics().to_json(sim.now()) + "}");
@@ -410,7 +412,8 @@ observe_run(sim::Simulation& sim, const std::string& label)
             ",\"events\":" + std::to_string(perf.events) +
             ",\"wall_s\":" + fmt(perf.wall_seconds, 4) +
             ",\"events_per_sec\":" + fmt(perf.events_per_sec, 0) +
-            ",\"peak_event_backlog\":" + std::to_string(perf.peak_backlog);
+            ",\"peak_event_backlog\":" + std::to_string(perf.peak_backlog) +
+            ",\"cancelled\":" + std::to_string(perf.cancelled);
         if (g_observability.attribution) {
             entry += ",\"attr_mean_us\":" + attribution_json(sim);
         }

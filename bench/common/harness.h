@@ -69,8 +69,9 @@ void arm_observability(sim::Simulation& sim);
 
 /**
  * Kernel self-profile of one run: simulated events dispatched, wall-clock
- * seconds since arm_observability(), their ratio, and the high-water mark
- * of the event queue. Printed for every observed run and embedded in the
+ * seconds since arm_observability(), their ratio, the high-water mark of
+ * the event queue, and the events cancelled before they ran (timers that
+ * lost their race). Printed for every observed run and embedded in the
  * metrics JSON under "perf" (the perf-smoke gate parses the printed line).
  */
 struct RunPerf {
@@ -78,6 +79,7 @@ struct RunPerf {
     double wall_seconds = 0.0;
     double events_per_sec = 0.0;
     size_t peak_backlog = 0;
+    uint64_t cancelled = 0;
 };
 
 /** Current self-profile of @p sim (timer keeps running). */

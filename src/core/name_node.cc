@@ -343,9 +343,9 @@ NameNode::handle(faas::Invocation inv)
     const Op& op = inv.op;
     // Expired-in-queue shedding at the NameNode: an op whose deadline
     // passed in transit or in the gateway queue is refused before any
-    // compute or store work. Checked before the result-cache
-    // lookup_or_begin so a shed attempt neither retains a result nor
-    // leaves a pending dedup entry a resubmission could join.
+    // compute or store work. Checked before the result-cache claim so a
+    // shed attempt neither retains a result nor leaves a pending dedup
+    // entry a resubmission could join.
     if (op_expired(op, rt_.sim.now())) {
         shed_expired_.add();
         nn_span.annotate("shed", "expired");
@@ -360,12 +360,17 @@ NameNode::handle(faas::Invocation inv)
     // races the still-in-flight original joins it here instead of
     // executing the op a second time.
     ResultCache& results = rt_.result_cache(instance_.deployment_id());
-    auto retained = co_await results.lookup_or_begin(op.op_id);
-    if (retained.has_value()) {
+    ResultCache::Claim claim = results.claim(op.op_id);
+    if (!claim.execute()) {
+        OpResult result;
+        if (claim.retained != nullptr) {
+            result = *claim.retained;
+        } else {
+            result = co_await results.join(op.op_id);
+        }
         nn_span.annotate("result_cache", "hit");
         sim::SimTime hit_start = rt_.sim.now();
         co_await instance_.compute(sim::usec(20));
-        OpResult result = *std::move(retained);
         if (rt_.sim.attribution()) {
             // The retained ledger describes the *original* execution,
             // whose wall time overlaps the resubmitting client's

@@ -50,7 +50,7 @@ FunctionInstance::start_cold()
             state_ = State::kWarm;
             last_activity_ = sim_.now();
             warm_gate_.set();
-            schedule_idle_check();
+            mark_idle();
         }
     });
 }
@@ -101,7 +101,7 @@ FunctionInstance::end_request()
     if (inflight_ == 0 && busy_since_ >= 0) {
         busy_accum_ += sim_.now() - busy_since_;
         busy_since_ = -1;
-        schedule_idle_check();
+        mark_idle();
     }
     if (on_request_done) {
         on_request_done();
@@ -109,17 +109,43 @@ FunctionInstance::end_request()
 }
 
 void
-FunctionInstance::schedule_idle_check()
+FunctionInstance::mark_idle()
 {
     if (config_.idle_reclaim <= 0) {
         return;  // reclamation disabled
     }
-    sim::SimTime snapshot = last_activity_;
-    sim_.schedule(config_.idle_reclaim, [this, snapshot] {
-        if (alive() && inflight_ == 0 && last_activity_ == snapshot) {
-            kill();
-        }
-    });
+    // Several idle transitions within one instant share the first one's
+    // place in the event order: that is where reclamation happens.
+    if (last_activity_ != idle_at_) {
+        idle_at_ = last_activity_;
+        idle_ticket_ = sim_.take_ticket();
+    }
+    if (!idle_armed_) {
+        arm_idle_deadline();
+    }
+}
+
+void
+FunctionInstance::arm_idle_deadline()
+{
+    idle_armed_ = true;
+    sim_.schedule_at_ticket(idle_at_ + config_.idle_reclaim, idle_ticket_,
+                            [this] { on_idle_deadline(); });
+}
+
+void
+FunctionInstance::on_idle_deadline()
+{
+    idle_armed_ = false;
+    if (!alive() || inflight_ > 0) {
+        return;  // dead for good, or end_request() re-arms
+    }
+    assert(last_activity_ == idle_at_);
+    if (idle_at_ + config_.idle_reclaim > sim_.now()) {
+        arm_idle_deadline();  // activity since arming moved the deadline
+        return;
+    }
+    kill();
 }
 
 sim::Task<OpResult>

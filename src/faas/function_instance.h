@@ -172,7 +172,13 @@ class FunctionInstance {
     sim::Task<OpResult> serve(Invocation inv, bool via_http);
     void begin_request();
     void end_request();
-    void schedule_idle_check();
+    /**
+     * The instance just went idle (warm transition or last request
+     * done): it is due for reclamation at last_activity_ + idle_reclaim.
+     */
+    void mark_idle();
+    void arm_idle_deadline();
+    void on_idle_deadline();
 
     sim::Simulation& sim_;
     sim::Rng rng_;
@@ -192,6 +198,16 @@ class FunctionInstance {
     sim::SimTime busy_since_ = -1;
     sim::SimTime busy_accum_ = 0;
     sim::Counter requests_;
+    /**
+     * Idle reclamation keeps one armed deadline at most. It may lie
+     * before the current due time (idle_at_ + idle_reclaim) and then
+     * re-arms itself there when it fires; idle_ticket_ is the event-order
+     * place of the first mark_idle() at idle_at_, so the reclaiming event
+     * runs exactly where a timer armed at that moment would have.
+     */
+    sim::SimTime idle_at_ = -1;
+    uint64_t idle_ticket_ = 0;
+    bool idle_armed_ = false;
 };
 
 }  // namespace lfs::faas

@@ -10,7 +10,8 @@
  * Lifetime rule: a coroutine suspended on one of these primitives must not
  * be destroyed while suspended (the primitive holds a raw handle). In this
  * codebase processes run to completion; cancellation is expressed with
- * OneShot::try_set (e.g. timeouts) instead of frame destruction.
+ * OneShot::try_set (e.g. timeouts) instead of frame destruction. Only
+ * timer *events* are ever cancelled (Simulation::cancel).
  */
 #pragma once
 
@@ -113,6 +114,11 @@ class OneShot {
  * @p on_timeout() unless a round got there first. Then @p start(cell)
  * spawns the rounds that race into the cell — none, one or several, each
  * free to stay silent (a lost reply) and leave the cell to the timer.
+ *
+ * When a round wins, the timer is cancelled as soon as the race resumes
+ * (the same instant): it would only have found the cell set, and
+ * cancelling it frees the cell it holds instead of keeping it — and a
+ * queued event — alive for the rest of the timeout.
  */
 template <typename OnTimeout, typename Start>
 Task<std::invoke_result_t<OnTimeout&>>
@@ -121,13 +127,16 @@ race_timeout(Simulation& sim, SimTime timeout, OnTimeout on_timeout,
 {
     using T = std::invoke_result_t<OnTimeout&>;
     auto cell = std::make_shared<OneShot<T>>(sim);
-    sim.schedule(timeout, [cell, on_timeout] {
-        if (!cell->is_set()) {
-            cell->try_set(on_timeout());
-        }
-    });
+    Simulation::TimerId timer =
+        sim.schedule_cancellable(timeout, [cell, on_timeout] {
+            if (!cell->is_set()) {
+                cell->try_set(on_timeout());
+            }
+        });
     start(cell);
-    co_return co_await cell->wait();
+    T value = co_await cell->wait();
+    sim.cancel(timer);  // a no-op when the timer itself won
+    co_return value;
 }
 
 namespace detail {

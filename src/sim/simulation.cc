@@ -76,9 +76,15 @@ Simulation::~Simulation()
 {
     // Pending payloads are destroyed, never run (matches the previous
     // kernel, where ~priority_queue destroyed the queued std::functions).
-    ring_.for_each([](const RingEntry& entry) { entry.ev->dispose(entry.ev); });
+    // Tombstones' payloads are already gone.
+    auto dispose = [](Event* ev) {
+        if (ev->seq != Event::kDead) {
+            ev->run(ev, /*invoke=*/false);
+        }
+    };
+    ring_.for_each([&](const RingEntry& entry) { dispose(entry.ev); });
     for (const HeapEntry& entry : heap_) {
-        entry.ev->dispose(entry.ev);
+        dispose(entry.ev);
     }
 }
 
@@ -113,9 +119,9 @@ Simulation::reserve_events(size_t n)
 }
 
 void
-Simulation::push_event(SimTime when, Event* ev)
+Simulation::push_event(SimTime when, uint64_t seq, Event* ev)
 {
-    uint64_t seq = next_seq_++;
+    ev->seq = seq;
     if (when <= now_) {
         // Due at the current instant: O(1) FIFO append, no heap sift.
         ring_.push(RingEntry{seq, ev});
@@ -144,30 +150,97 @@ Simulation::pop_event()
     HeapEntry top = heap_.front();
     HeapEntry last = heap_.back();
     heap_.pop_back();
-    size_t n = heap_.size();
-    if (n > 0) {
-        size_t i = 0;
-        for (;;) {
-            size_t first = first_child_of(i);
-            if (first >= n) {
-                break;
-            }
-            size_t stop = first + kArity < n ? first + kArity : n;
-            size_t best = first;
-            for (size_t c = first + 1; c < stop; ++c) {
-                if (heap_[c].key < heap_[best].key) {
-                    best = c;
-                }
-            }
-            if (heap_[best].key >= last.key) {
-                break;
-            }
-            heap_[i] = heap_[best];
-            i = best;
-        }
-        heap_[i] = last;
+    if (!heap_.empty()) {
+        sift_down(0, last);
     }
     return top;
+}
+
+void
+Simulation::sift_down(size_t i, HeapEntry entry)
+{
+    size_t n = heap_.size();
+    for (;;) {
+        size_t first = first_child_of(i);
+        if (first >= n) {
+            break;
+        }
+        size_t stop = first + kArity < n ? first + kArity : n;
+        size_t best = first;
+        for (size_t c = first + 1; c < stop; ++c) {
+            if (heap_[c].key < heap_[best].key) {
+                best = c;
+            }
+        }
+        if (heap_[best].key >= entry.key) {
+            break;
+        }
+        heap_[i] = heap_[best];
+        i = best;
+    }
+    heap_[i] = entry;
+}
+
+bool
+Simulation::cancel(TimerId id)
+{
+    Event* ev = id.ev_;
+    if (ev == nullptr || ev->seq != id.seq_) {
+        return false;  // already ran or cancelled (the node may be reused)
+    }
+    ev->seq = Event::kDead;
+    ++cancelled_;
+    ++tombstones_;
+    ev->run(ev, /*invoke=*/false);
+    if (2 * tombstones_ > heap_.size() + ring_.size()) {
+        compact();
+    }
+    return true;
+}
+
+void
+Simulation::drop_front_tombstones()
+{
+    while (tombstones_ != 0) {
+        Event* ev;
+        if (!ring_.empty() && ring_.front().ev->seq == Event::kDead) {
+            ev = ring_.pop().ev;
+        } else if (!heap_.empty() && heap_.front().ev->seq == Event::kDead) {
+            ev = pop_event().ev;  // the clock stays where it is
+        } else {
+            return;
+        }
+        --tombstones_;
+        release_event(ev);
+    }
+}
+
+void
+Simulation::compact()
+{
+    auto drop = [this](Event* ev) {
+        if (ev->seq != Event::kDead) {
+            return false;
+        }
+        release_event(ev);
+        return true;
+    };
+    ring_.remove_if([&](const RingEntry& entry) { return drop(entry.ev); });
+    size_t kept = 0;
+    for (const HeapEntry& entry : heap_) {
+        if (!drop(entry.ev)) {
+            heap_[kept++] = entry;
+        }
+    }
+    heap_.resize(kept);
+    tombstones_ = 0;
+    // Floyd heap construction. Keys are unique, so any valid heap pops
+    // the survivors in the same (when, seq) order.
+    if (kept > 1) {
+        for (size_t i = parent_of(kept - 1) + 1; i-- > 0;) {
+            sift_down(i, heap_[i]);
+        }
+    }
 }
 
 bool
@@ -176,6 +249,7 @@ Simulation::step()
     if (stopped_) {
         return false;
     }
+    skip_cancelled();
     Event* ev;
     if (!ring_.empty()) {
         // Ring entries are due at now_; a heap event at the same instant
@@ -194,6 +268,9 @@ Simulation::step()
         return false;
     }
     ++executed_;
+    // From here on no handle names this event: cancelling it while it
+    // runs (or later) is a no-op.
+    ev->seq = Event::kDead;
     // Release the node only after the payload ran: the callback may
     // schedule (and thus reuse nodes), but never this still-running one.
     struct Releaser {
@@ -201,7 +278,7 @@ Simulation::step()
         Event* ev;
         ~Releaser() { sim->release_event(ev); }
     } releaser{this, ev};
-    ev->invoke(ev);
+    ev->run(ev, /*invoke=*/true);
     return true;
 }
 
@@ -216,10 +293,15 @@ void
 Simulation::run_until(SimTime t)
 {
     // Ring entries are due at exactly now_, so they qualify iff now_ <= t
-    // (run_until(t) with t in the past must not run future events).
-    while (!stopped_ &&
-           ((!ring_.empty() && now_ <= t) ||
-            (!heap_.empty() && heap_.front().when() <= t))) {
+    // (run_until(t) with t in the past must not run future events). A
+    // tombstone at the front is no reason to step: the next live event
+    // may lie beyond t.
+    for (;;) {
+        skip_cancelled();
+        if (stopped_ || !((!ring_.empty() && now_ <= t) ||
+                          (!heap_.empty() && heap_.front().when() <= t))) {
+            break;
+        }
         step();
     }
     if (!stopped_ && now_ < t) {

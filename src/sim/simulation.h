@@ -10,13 +10,18 @@
  * Performance model (DESIGN.md §10): the kernel is allocation-free in
  * steady state. Event nodes are recycled through an intrusive free list
  * and carved from geometrically-growing blocks; callables are constructed
- * directly into a 48-byte inline buffer in the node (type-erased by two
- * function pointers, no std::function); coroutine resumes store the bare
+ * directly into a 48-byte inline buffer in the node (type-erased by one
+ * function pointer, no std::function); coroutine resumes store the bare
  * handle — scheduling a wake-up is a pointer store. The heap orders POD
  * entries whose (when, seq) sort key is packed into one 128-bit integer,
  * so a sift level is one branchless compare plus a memcpy and never
  * touches the payloads. Events due at the current instant bypass the
  * heap entirely through a FIFO ring (NowRing).
+ *
+ * Timers that usually lose a race (client timeouts) are scheduled with
+ * schedule_cancellable(); cancel() destroys the payload at once and
+ * leaves a tombstone that the loop discards unrun, without advancing the
+ * clock. Tombstones are compacted away once they outnumber live events.
  */
 #pragma once
 
@@ -49,7 +54,28 @@ class FaultPlan;
  * mechanism. The loop is strictly single-threaded.
  */
 class Simulation {
+    struct Event;
+
   public:
+    /**
+     * Handle to an event scheduled with schedule_cancellable(). A
+     * default-constructed handle refers to nothing. Holding a handle past
+     * its event is safe: the event's sequence number names it, and the
+     * kernel forgets that number the moment the event runs or is
+     * cancelled, so a stale handle can never reach a recycled node.
+     */
+    class TimerId {
+      public:
+        TimerId() = default;
+
+      private:
+        friend class Simulation;
+        TimerId(Event* ev, uint64_t seq) : ev_(ev), seq_(seq) {}
+
+        Event* ev_ = nullptr;
+        uint64_t seq_ = 0;
+    };
+
     Simulation();
     Simulation(const Simulation&) = delete;
     Simulation& operator=(const Simulation&) = delete;
@@ -108,7 +134,53 @@ class Simulation {
     void
     schedule_at(SimTime when, F&& fn)
     {
-        push_event(when, make_event(std::forward<F>(fn)));
+        push_event(when, next_seq_++, make_event(std::forward<F>(fn)));
+    }
+
+    /**
+     * schedule() that can be undone: cancel() with the returned handle
+     * before the event runs and it never runs. The event takes its place
+     * in the (when, seq) order now, exactly as schedule() would.
+     */
+    template <typename F>
+        requires std::invocable<std::decay_t<F>&>
+    TimerId
+    schedule_cancellable(SimTime delay, F&& fn)
+    {
+        Event* ev = make_event(std::forward<F>(fn));
+        uint64_t seq = next_seq_++;
+        push_event(delay < 0 ? now_ : now_ + delay, seq, ev);
+        return TimerId(ev, seq);
+    }
+
+    /**
+     * Drop the event behind @p id unrun and destroy its payload now
+     * (releasing whatever it captured). A checked no-op when the event
+     * already ran or was cancelled. @return true if an event was dropped.
+     */
+    bool cancel(TimerId id);
+
+    /**
+     * Take the next place in the (when, seq) order without scheduling
+     * anything yet. An event later given this ticket through
+     * schedule_at_ticket() runs among same-instant events exactly where
+     * an event scheduled at the moment of take_ticket() would have, so a
+     * component can defer arming a timer without reordering the run.
+     */
+    uint64_t take_ticket() { return next_seq_++; }
+
+    /**
+     * Schedule @p fn at @p when in the order slot of @p ticket (from
+     * take_ticket()). @p when must lie in the future: an event due now
+     * would enter the same-instant FIFO out of ticket order.
+     */
+    template <typename F>
+        requires std::invocable<std::decay_t<F>&>
+    void
+    schedule_at_ticket(SimTime when, uint64_t ticket, F&& fn)
+    {
+        assert(when > now_ && ticket < next_seq_);
+        push_event(when, ticket, make_event(std::forward<F>(fn)));
     }
 
     /**
@@ -126,10 +198,9 @@ class Simulation {
     schedule_at(SimTime when, std::coroutine_handle<> h)
     {
         Event* ev = alloc_event();
-        ev->invoke = &Event::invoke_handle;
-        ev->dispose = &Event::dispose_noop;
+        ev->run = &Event::run_handle;
         ev->payload.handle = h;
-        push_event(when, ev);
+        push_event(when, next_seq_++, ev);
     }
 
     /**
@@ -156,11 +227,21 @@ class Simulation {
     /** Clear the stop flag so run()/run_until() may continue. */
     void resume() { stopped_ = false; }
 
-    /** Number of events executed so far (for diagnostics and tests). */
+    /**
+     * Number of events executed so far (for diagnostics and tests).
+     * Cancelled events never count.
+     */
     uint64_t events_executed() const { return executed_; }
 
-    /** Number of events currently queued. */
-    size_t pending() const { return heap_.size() + ring_.size(); }
+    /** Number of events cancelled before they ran. */
+    uint64_t events_cancelled() const { return cancelled_; }
+
+    /** Number of live (not cancelled) events currently queued. */
+    size_t
+    pending() const
+    {
+        return heap_.size() + ring_.size() - tombstones_;
+    }
 
     /** High-water mark of pending() over the simulation's lifetime. */
     size_t peak_pending() const { return peak_pending_; }
@@ -178,9 +259,17 @@ class Simulation {
      * kInlineBytes — every callable this codebase schedules), or a
      * pointer to a heap-allocated callable as a rare fallback. While the
      * node sits on the free list the union holds the next-free link.
+     * One function pointer both runs and destroys the payload, which
+     * leaves room for the sequence number in a 64-byte node.
      */
     struct Event {
         static constexpr size_t kInlineBytes = 48;
+
+        /**
+         * seq of a node that is not a live queued event: it ran, was
+         * cancelled (a tombstone while still queued), or is free.
+         */
+        static constexpr uint64_t kDead = ~uint64_t{0};
 
         union Payload {
             Payload() {}
@@ -191,52 +280,51 @@ class Simulation {
             alignas(std::max_align_t) unsigned char buf[kInlineBytes];
         };
 
-        /** Run the payload, then destroy it. */
-        void (*invoke)(Event*);
-        /** Destroy the payload without running it (kernel teardown). */
-        void (*dispose)(Event*);
+        /**
+         * With @p invoke, run the payload, then destroy it; without,
+         * destroy it unrun (cancellation and kernel teardown).
+         */
+        void (*run)(Event*, bool invoke);
+        /** The queued event's sequence number, or kDead. */
+        uint64_t seq;
         Payload payload;
 
-        static void invoke_handle(Event* e) { e->payload.handle.resume(); }
         // Dropping a pending resume leaks the suspended frame by design
         // (see primitives.h lifetime rule) — same as the std::function
         // kernel, which destroyed the [h] lambda without resuming it.
-        static void dispose_noop(Event*) {}
+        static void
+        run_handle(Event* e, bool invoke)
+        {
+            if (invoke) {
+                e->payload.handle.resume();
+            }
+        }
 
         template <typename F>
         static void
-        invoke_inline(Event* e)
+        run_inline(Event* e, bool invoke)
         {
             F* f = std::launder(reinterpret_cast<F*>(e->payload.buf));
             struct Destroyer {  // destroy even if (*f)() throws
                 F* f;
                 ~Destroyer() { f->~F(); }
             } d{f};
-            (*f)();
+            if (invoke) {
+                (*f)();
+            }
         }
 
         template <typename F>
         static void
-        dispose_inline(Event* e)
-        {
-            std::launder(reinterpret_cast<F*>(e->payload.buf))->~F();
-        }
-
-        template <typename F>
-        static void
-        invoke_heap(Event* e)
+        run_heap(Event* e, bool invoke)
         {
             std::unique_ptr<F> f(static_cast<F*>(e->payload.heap_fn));
-            (*f)();
-        }
-
-        template <typename F>
-        static void
-        dispose_heap(Event* e)
-        {
-            delete static_cast<F*>(e->payload.heap_fn);
+            if (invoke) {
+                (*f)();
+            }
         }
     };
+    static_assert(sizeof(Event) == 64, "an event node is one cache line");
 
     /**
      * POD heap entry; comparisons never dereference the node. The sort
@@ -316,6 +404,22 @@ class Simulation {
             }
         }
 
+        /** Drop the entries @p drop selects; the rest keep their order. */
+        template <typename Pred>
+        void
+        remove_if(Pred&& drop)
+        {
+            size_t mask = buf_.size() - 1;
+            size_t kept = 0;
+            for (size_t i = 0; i < size_; ++i) {
+                RingEntry entry = buf_[(head_ + i) & mask];
+                if (!drop(entry)) {
+                    buf_[(head_ + kept++) & mask] = entry;
+                }
+            }
+            size_ = kept;
+        }
+
         void reserve(size_t n);
 
       private:
@@ -336,12 +440,10 @@ class Simulation {
                       alignof(Fn) <= alignof(std::max_align_t)) {
             ::new (static_cast<void*>(ev->payload.buf))
                 Fn(std::forward<F>(fn));
-            ev->invoke = &Event::template invoke_inline<Fn>;
-            ev->dispose = &Event::template dispose_inline<Fn>;
+            ev->run = &Event::template run_inline<Fn>;
         } else {
             ev->payload.heap_fn = new Fn(std::forward<F>(fn));
-            ev->invoke = &Event::template invoke_heap<Fn>;
-            ev->dispose = &Event::template dispose_heap<Fn>;
+            ev->run = &Event::template run_heap<Fn>;
         }
         return ev;
     }
@@ -364,11 +466,28 @@ class Simulation {
         free_list_ = ev;
     }
 
-    /** Sift the new entry up from the back of the heap. */
-    void push_event(SimTime when, Event* ev);
+    /** Queue @p ev at (@p when, @p seq): ring if due now, else heap. */
+    void push_event(SimTime when, uint64_t seq, Event* ev);
 
     /** Remove and return the minimum entry (heap must be non-empty). */
     HeapEntry pop_event();
+
+    /** Place @p entry at slot @p i or below, restoring heap order. */
+    void sift_down(size_t i, HeapEntry entry);
+
+    /** Discard tombstones at the front of the ring and the heap. */
+    void
+    skip_cancelled()
+    {
+        if (tombstones_ != 0) {
+            drop_front_tombstones();
+        }
+    }
+
+    void drop_front_tombstones();
+
+    /** Drop every tombstone from the ring and heap, then re-heapify. */
+    void compact();
 
     /** Allocate a fresh node block, push all but one onto the free list. */
     Event* carve_block();
@@ -378,6 +497,8 @@ class Simulation {
     bool attribution_ = false;
     uint64_t next_seq_ = 0;
     uint64_t executed_ = 0;
+    uint64_t cancelled_ = 0;
+    size_t tombstones_ = 0;  ///< cancelled entries still in ring/heap
     bool stopped_ = false;
     size_t peak_pending_ = 0;
     std::vector<HeapEntry> heap_;

@@ -229,6 +229,56 @@ TEST(Instance, ActivityDefersReclamation)
     EXPECT_EQ(d.alive_count(), 0);
 }
 
+Task<void>
+co_serve_tcp(FunctionInstance& instance)
+{
+    OpResult result = co_await instance.serve_tcp(make_invocation("/x"));
+    EXPECT_TRUE(result.status.ok());
+}
+
+TEST(Instance, IdleDeadlineReclaimsExactlyAtLastActivityPlusTimeout)
+{
+    Simulation sim;
+    FunctionConfig config;
+    config.vcpus = 1.0;
+    config.cold_start_min = sim::msec(100);
+    config.cold_start_max = sim::msec(100);
+    config.idle_reclaim = sim::sec(5);
+    sim::SimTime died_at = -1;
+    FunctionInstance instance(sim, sim::Rng(1), 0, 0, config,
+                              sleep_app_factory(sim::msec(10)),
+                              [&](FunctionInstance&) { died_at = sim.now(); });
+    instance.start_cold();
+    sim.run_until(sim::msec(100));
+    ASSERT_TRUE(instance.warm());
+    // Idle cycles: each 10 ms request moves the deadline to its end + 5 s.
+    // While idle, the instance's one armed deadline is the only event.
+    for (sim::SimTime at : {sim::sec(1), sim::sec(2), sim::sec(3)}) {
+        sim.run_until(at);
+        EXPECT_EQ(sim.pending(), 1u) << "one idle deadline at most";
+        sim::spawn(co_serve_tcp(instance));
+        sim.run_until(at + sim::msec(50));
+        EXPECT_EQ(instance.last_activity(), at + sim::msec(10));
+        EXPECT_EQ(sim.pending(), 1u) << "one idle deadline at most";
+    }
+    // The armed deadline (5.1 s, from the warm transition) re-arms
+    // itself for 8.01 s. A request running across 8.01 s keeps the
+    // instance alive; its end_request() arms 8.015 + 5 s.
+    sim.run_until(sim::msec(8005));
+    EXPECT_EQ(sim.pending(), 1u);
+    sim::spawn(co_serve_tcp(instance));
+    sim.run_until(sim::msec(8012));
+    EXPECT_TRUE(instance.alive()) << "busy at its deadline";
+    sim.run_until(sim::msec(8020));
+    EXPECT_EQ(instance.last_activity(), sim::msec(8015));
+    EXPECT_EQ(sim.pending(), 1u);
+    sim.run_until(sim::msec(13015) - 1);
+    EXPECT_TRUE(instance.alive());
+    sim.run();
+    EXPECT_FALSE(instance.alive());
+    EXPECT_EQ(died_at, sim::msec(13015));
+}
+
 TEST(Instance, KillMarksRequestsUnavailable)
 {
     FaasFixture f;

@@ -14,6 +14,13 @@
  * with attribution on so the retry ledger is folded into the hash too.
  * Those goldens pin each client's request path — the timeout race, the
  * TCP round trip and the attempt/backoff ledger — byte for byte.
+ *
+ * Every golden comes as a pair. The outcome hash covers what each op
+ * returned and when; it has never been re-captured. The full hash also
+ * folds in the kernel's event count, so it moves (deliberately, and only
+ * then) when the kernel stops running events that change nothing — as
+ * when client timeouts became cancellable and idle reclamation kept one
+ * deadline per instance.
  */
 #include <gtest/gtest.h>
 
@@ -138,10 +145,18 @@ using Driver = sim::Task<void> (*)(sim::Simulation&, workload::Dfs&,
                                    sim::Rng&, int, TraceHash&, bool&);
 
 /**
- * Run @p driver for @p steps seeded ops through client 0 of @p fs and
- * return the trace hash, closed with the event count and final clock.
+ * A run's two hashes. `outcome` folds only what the ops returned and
+ * when; `full` closes it with the event count and final clock, so it
+ * also moves when the kernel runs fewer (or more) events for the same
+ * outcomes.
  */
-uint64_t
+struct Trace {
+    uint64_t outcome;
+    uint64_t full;
+};
+
+/** Run @p driver for @p steps seeded ops through client 0 of @p fs. */
+Trace
 trace_hash(sim::Simulation& sim, workload::Dfs& fs, Driver driver,
            uint64_t seed, int steps)
 {
@@ -151,12 +166,13 @@ trace_hash(sim::Simulation& sim, workload::Dfs& fs, Driver driver,
     sim::spawn(driver(sim, fs, rng, steps, hash, done));
     sim.run_until(sim.now() + sim::sec(100000));
     EXPECT_TRUE(done);
+    uint64_t outcome = hash.value();
     hash.mix(static_cast<uint64_t>(sim.events_executed()));
     hash.mix(static_cast<uint64_t>(sim.now()));
-    return hash.value();
+    return {outcome, hash.value()};
 }
 
-uint64_t
+Trace
 run_legacy_workload(uint64_t seed, int steps)
 {
     sim::Simulation sim;
@@ -166,21 +182,26 @@ run_legacy_workload(uint64_t seed, int steps)
 }
 
 /**
- * Golden hash of the 400-step legacy-op λFS run, captured from the tree
- * BEFORE the extended op surface existed. The extended ops must not
- * perturb this schedule while they are unused.
+ * Golden hashes of the 400-step legacy-op λFS run. The outcome hash was
+ * captured from the tree BEFORE the extended op surface existed: the
+ * extended ops must not perturb this schedule while they are unused.
  */
-constexpr uint64_t kLegacyGoldenHash = 0x3fcb297688ea8bd7ull;
+constexpr uint64_t kLegacyGoldenHash = 0xecf49e706bcb4e90ull;
+constexpr uint64_t kLegacyOutcomeHash = 0x781ac378007f09bdull;
 
 TEST(OpDeterminism, LegacyOpsGoldenTrace)
 {
-    EXPECT_EQ(run_legacy_workload(0x0b5e55ed, 400), kLegacyGoldenHash)
+    Trace trace = run_legacy_workload(0x0b5e55ed, 400);
+    EXPECT_EQ(trace.outcome, kLegacyOutcomeHash)
+        << "legacy-op λFS outcomes diverged from the pre-extension trace";
+    EXPECT_EQ(trace.full, kLegacyGoldenHash)
         << "legacy-op λFS schedule diverged from the pre-extension trace";
 }
 
 TEST(OpDeterminism, LegacyRepeatRunsAreBitIdentical)
 {
-    EXPECT_EQ(run_legacy_workload(77, 150), run_legacy_workload(77, 150));
+    EXPECT_EQ(run_legacy_workload(77, 150).full,
+              run_legacy_workload(77, 150).full);
 }
 
 /**
@@ -268,7 +289,7 @@ co_extended_driver(sim::Simulation& sim, workload::Dfs& fs, sim::Rng& rng,
     done = true;
 }
 
-uint64_t
+Trace
 run_extended_workload(uint64_t seed, int steps)
 {
     sim::Simulation sim;
@@ -278,28 +299,33 @@ run_extended_workload(uint64_t seed, int steps)
 }
 
 /**
- * Golden hash of the 400-step full-alphabet λFS run. Pins the (when,
+ * Golden hashes of the 400-step full-alphabet λFS run. Pin the (when,
  * seq) schedule of the extended op surface itself: any timing or
  * outcome change in link/session/GC plumbing shows up here.
  */
-constexpr uint64_t kExtendedGoldenHash = 0x3949a42dd47a9b52ull;
+constexpr uint64_t kExtendedGoldenHash = 0xa0510f3b54eeaf9bull;
+constexpr uint64_t kExtendedOutcomeHash = 0xb191ef2fbe74e930ull;
 
 TEST(OpDeterminism, ExtendedOpsGoldenTrace)
 {
-    EXPECT_EQ(run_extended_workload(0x5ca1ab1e, 400), kExtendedGoldenHash)
+    Trace trace = run_extended_workload(0x5ca1ab1e, 400);
+    EXPECT_EQ(trace.outcome, kExtendedOutcomeHash)
+        << "extended-op λFS outcomes diverged from their golden trace";
+    EXPECT_EQ(trace.full, kExtendedGoldenHash)
         << "extended-op λFS schedule diverged from its golden trace";
 }
 
 TEST(OpDeterminism, ExtendedRepeatRunsAreBitIdentical)
 {
-    EXPECT_EQ(run_extended_workload(99, 150), run_extended_workload(99, 150));
+    EXPECT_EQ(run_extended_workload(99, 150).full,
+              run_extended_workload(99, 150).full);
 }
 
 // ---------------------------------------------------------------------
 // Request paths under faults. Each run turns attribution on, installs a
 // FaultPlan that hits the system's client path, warms up for 2 s, then
-// drives both op alphabets. The goldens were captured before the client
-// request paths were consolidated and must never be re-captured.
+// drives both op alphabets. The outcome goldens were captured before the
+// client request paths were consolidated and must never be re-captured.
 // ---------------------------------------------------------------------
 
 constexpr uint64_t kFaultSeed = 0xfa17ed;
@@ -307,16 +333,17 @@ constexpr uint64_t kFaultSeed = 0xfa17ed;
 /** Start of the extended-alphabet phase (each phase drains 100000 s). */
 constexpr sim::SimTime kExtendedPhase = sim::sec(2) + sim::sec(100000);
 
-/** Legacy then extended alphabet through client 0, one combined hash. */
-uint64_t
+/** Legacy then extended alphabet through client 0, combined hashes. */
+Trace
 faulted_trace(sim::Simulation& sim, workload::Dfs& fs)
 {
     sim.run_until(sim::sec(2));
-    uint64_t legacy = trace_hash(sim, fs, co_legacy_driver, kFaultSeed, 200);
+    Trace legacy = trace_hash(sim, fs, co_legacy_driver, kFaultSeed, 200);
     EXPECT_EQ(sim.now(), kExtendedPhase);
-    uint64_t extended =
+    Trace extended =
         trace_hash(sim, fs, co_extended_driver, kFaultSeed + 1, 200);
-    return legacy ^ (extended * 31);
+    return {legacy.outcome ^ (extended.outcome * 31),
+            legacy.full ^ (extended.full * 31)};
 }
 
 /**
@@ -366,9 +393,10 @@ TEST(OpDeterminism, LambdaFsFaultedGoldenTrace)
     wire.drop_reply_p = 0.03;
     wire.duplicate_p = 0.03;
     plan.add_message_faults(wire);
-    uint64_t hash = faulted_trace(sim, fs);
+    Trace hash = faulted_trace(sim, fs);
     EXPECT_GT(fs.lfs_client(0).resubmissions(), 0u);
-    EXPECT_EQ(hash, 0x8d97bec8ae80cf5aull);
+    EXPECT_EQ(hash.outcome, 0x6afeb1636cf1d1beull);
+    EXPECT_EQ(hash.full, 0x9692582a9561d689ull);
 }
 
 TEST(OpDeterminism, HopsFsStoreOutageGoldenTrace)
@@ -388,9 +416,10 @@ TEST(OpDeterminism, HopsFsStoreOutageGoldenTrace)
     plan.add_store_outage({-1, kExtendedPhase + sim::msec(200),
                            kExtendedPhase + sim::sec(7)});
     add_client_delays(plan, sim::sec(6));
-    uint64_t hash = faulted_trace(sim, fs);
+    Trace hash = faulted_trace(sim, fs);
     EXPECT_GT(plan.store_stalled_ops(), 0u);
-    EXPECT_EQ(hash, 0x403ec21e9f16be34ull);
+    EXPECT_EQ(hash.outcome, 0x2c425051178b0191ull);
+    EXPECT_EQ(hash.full, 0xcbc9b198378b845full);
 }
 
 TEST(OpDeterminism, LambdaIndexFsCrashGoldenTrace)
@@ -408,9 +437,10 @@ TEST(OpDeterminism, LambdaIndexFsCrashGoldenTrace)
     sim::FaultPlan plan(sim, kFaultSeed);
     add_crashes(plan, 0.05);
     add_client_delays(plan, sim::sec(16));
-    uint64_t hash = faulted_trace(sim, fs);
+    Trace hash = faulted_trace(sim, fs);
     EXPECT_GT(plan.instance_crashes(), 0u);
-    EXPECT_EQ(hash, 0x84c43b484a2fecccull);
+    EXPECT_EQ(hash.outcome, 0x3b36fa8be46eae5eull);
+    EXPECT_EQ(hash.full, 0x8e8782fa8ea5ff39ull);
 }
 
 TEST(OpDeterminism, InfiniCacheCrashGoldenTrace)
@@ -427,9 +457,10 @@ TEST(OpDeterminism, InfiniCacheCrashGoldenTrace)
     infinicache::InfiniCacheFs fs(sim, config);
     sim::FaultPlan plan(sim, kFaultSeed);
     add_crashes(plan, 0.05);
-    uint64_t hash = faulted_trace(sim, fs);
+    Trace hash = faulted_trace(sim, fs);
     EXPECT_GT(plan.instance_crashes(), 0u);
-    EXPECT_EQ(hash, 0x68540366b91f9260ull);
+    EXPECT_EQ(hash.outcome, 0x750ce3f1807b9191ull);
+    EXPECT_EQ(hash.full, 0x68540366b91f9260ull);
 }
 
 TEST(OpDeterminism, CephFsDelayedRpcGoldenTrace)
@@ -444,9 +475,10 @@ TEST(OpDeterminism, CephFsDelayedRpcGoldenTrace)
     cephfs::CephFs fs(sim, config);
     sim::FaultPlan plan(sim, kFaultSeed);
     add_client_delays(plan, sim::msec(20));
-    uint64_t hash = faulted_trace(sim, fs);
+    Trace hash = faulted_trace(sim, fs);
     EXPECT_GT(plan.messages_delayed(), 0u);
-    EXPECT_EQ(hash, 0x7b1762698c922305ull);
+    EXPECT_EQ(hash.outcome, 0xcc67f9a5a2e137edull);
+    EXPECT_EQ(hash.full, 0x7b1762698c922305ull);
 }
 
 TEST(OpDeterminism, IndexFsDelayedRpcGoldenTrace)
@@ -461,9 +493,10 @@ TEST(OpDeterminism, IndexFsDelayedRpcGoldenTrace)
     indexfs::IndexFs fs(sim, config);
     sim::FaultPlan plan(sim, kFaultSeed);
     add_client_delays(plan, sim::msec(20));
-    uint64_t hash = faulted_trace(sim, fs);
+    Trace hash = faulted_trace(sim, fs);
     EXPECT_GT(plan.messages_delayed(), 0u);
-    EXPECT_EQ(hash, 0xcaff5a292cfc2c5bull);
+    EXPECT_EQ(hash.outcome, 0x9f53775a1a9967b4ull);
+    EXPECT_EQ(hash.full, 0xcaff5a292cfc2c5bull);
 }
 
 }  // namespace
