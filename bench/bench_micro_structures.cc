@@ -7,10 +7,13 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cache/metadata_cache.h"
+#include "src/core/partitioning.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/tree_builder.h"
 #include "src/sim/random.h"
@@ -155,6 +158,76 @@ BM_CachePutChain(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CachePutChain);
+
+void
+BM_CacheGetManyCaches(benchmark::State& state)
+{
+    // The run's footprint rather than one L1-hot trie: the bench tree
+    // (build_bench_tree's shape) partitioned over 16 deployments the way
+    // λFS homes paths, with 81 NameNode caches — each an instance of
+    // deployment c % 16 holding its deployment's share as resolved
+    // chains. Gets walk a shuffled stream of every path, each served by
+    // one instance of the path's home deployment.
+    constexpr int kDeployments = 16;
+    constexpr int kCaches = 81;
+    ns::NamespaceTree tree;
+    ns::TreeSpec spec;
+    spec.root = "/bench";
+    spec.depth = 4;
+    spec.fanout = 8;
+    spec.files_per_dir = 2;
+    ns::BuiltTree built =
+        ns::build_balanced_tree(tree, spec, ns::UserContext{}, 0);
+    std::vector<std::string> paths = built.files;
+    paths.insert(paths.end(), built.dirs.begin(), built.dirs.end());
+    core::NamespacePartitioner partitioner(kDeployments);
+    std::vector<std::unique_ptr<cache::MetadataCache>> caches;
+    for (int c = 0; c < kCaches; ++c) {
+        caches.push_back(std::make_unique<cache::MetadataCache>());
+    }
+    auto instance_of = [&](int deployment, size_t k) {
+        // Instances of deployment d are caches d, d + 16, d + 32, ...
+        const size_t count = static_cast<size_t>(
+            (kCaches - deployment + kDeployments - 1) / kDeployments);
+        return caches[static_cast<size_t>(deployment) +
+                      (k % count) * kDeployments]
+            .get();
+    };
+    int id = 0;
+    for (const std::string& p : paths) {
+        std::vector<ns::INode> chain;
+        ns::INode root;
+        root.id = ns::kRootId;
+        root.type = ns::INodeType::kDirectory;
+        chain.push_back(root);
+        for (std::string_view comp : path::PathView(p)) {
+            ns::INode inode = make_inode(++id);
+            inode.name = std::string(comp);
+            chain.push_back(std::move(inode));
+        }
+        const int home = partitioner.deployment_for(p);
+        for (int c = home; c < kCaches; c += kDeployments) {
+            caches[static_cast<size_t>(c)]->put_chain(chain);
+        }
+    }
+    struct Probe {
+        cache::MetadataCache* cache;
+        const std::string* path;
+    };
+    std::vector<Probe> probes;
+    for (size_t i = 0; i < paths.size(); ++i) {
+        probes.push_back(
+            {instance_of(partitioner.deployment_for(paths[i]), i), &paths[i]});
+    }
+    sim::Rng(42).shuffle(probes);
+    size_t i = 0;
+    for (auto _ : state) {
+        const Probe& probe = probes[i % probes.size()];
+        benchmark::DoNotOptimize(probe.cache->get(*probe.path));
+        ++i;
+    }
+}
+BENCHMARK(BM_CacheGetManyCaches);
 
 void
 BM_CachePrefixInvalidate(benchmark::State& state)

@@ -1,5 +1,6 @@
 #include "src/cache/metadata_cache.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -8,77 +9,88 @@
 
 namespace lfs::cache {
 
-/** One trie node; holds a value iff an inode is cached at this path. */
-struct MetadataCache::Node {
-    /** Trie child index: hash-keyed slots verified against the stored
-        spelling (see util::ChildTable's hash-key discipline). */
-    using ChildTable = util::ChildTable<Node*>;
+namespace {
 
-    Node* parent = nullptr;
-    uint64_t name_hash = 0;  ///< fnv1a(name); key within parent->children
-    /** Interned spelling (views NameTable storage — stable addresses). */
-    std::string_view name;
-    ChildTable children;
-    std::optional<ns::INode> value;
-    size_t value_bytes = 0;
-    // Intrusive LRU links (valid only while value is set).
-    Node* lru_prev = nullptr;
-    Node* lru_next = nullptr;
-
-    ~Node()
-    {
-        for (const ChildTable::Slot& s : children.slots()) {
-            delete s.value;  // empty slots are nullptr; delete is a no-op
-        }
-    }
-};
-
-MetadataCache::MetadataCache(CacheConfig config)
-    : config_(config), root_(std::make_unique<Node>())
+/** Edge-table key of component hash @p h under arena index @p parent:
+    the parent in the high half, the folded hash in the low half. Equal
+    keys thus imply equal parents, so a probe verifies the spelling only.
+    ChildTable finalizes keys before placement. */
+uint64_t
+edge_key(uint32_t parent, uint64_t h)
 {
+    return (static_cast<uint64_t>(parent) << 32) |
+           static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+/** Heap bytes behind @p s (0 while it fits the small-string buffer). */
+size_t
+heap_bytes(const std::string& s)
+{
+    static const size_t kInline = std::string().capacity();
+    return s.capacity() > kInline ? s.capacity() + 1 : 0;
+}
+
+}  // namespace
+
+MetadataCache::MetadataCache(CacheConfig config) : config_(config)
+{
+    nodes_.emplace_back();  // kRoot
 }
 
 MetadataCache::~MetadataCache() = default;
 
-MetadataCache::Node*
+uint32_t
 MetadataCache::find(std::string_view p) const
 {
-    Node* cur = root_.get();
+    uint32_t cur = kRoot;
     for (std::string_view comp : path::PathView(p)) {
-        const uint64_t h = fnv1a(comp);
-        Node* next = cur->children.find(
-            h, [comp](const Node* n) { return n->name == comp; });
-        if (next == nullptr) {
-            return nullptr;
+        const uint32_t next =
+            edges_.find(edge_key(cur, fnv1a(comp)),
+                        [&](uint32_t i) { return nodes_[i].name == comp; });
+        if (next == kRoot) {  // the empty-slot sentinel: no such child
+            return kNil;
         }
         cur = next;
     }
     return cur;
 }
 
-MetadataCache::Node*
-MetadataCache::child_or_create(Node* cur, std::string_view comp)
+uint32_t
+MetadataCache::child_or_create(uint32_t parent, std::string_view comp)
 {
-    const uint64_t h = fnv1a(comp);
-    if (Node* hit = cur->children.find(
-            h, [comp](const Node* n) { return n->name == comp; })) {
+    const uint64_t key = edge_key(parent, fnv1a(comp));
+    const uint32_t hit =
+        edges_.find(key, [&](uint32_t i) { return nodes_[i].name == comp; });
+    if (hit != kRoot) {
         return hit;
     }
-    // Intern the spelling so the node's name view stays valid for the
-    // cache's lifetime (NameTable storage addresses are stable).
-    uint32_t id = names_.intern(comp);
-    Node* node = new Node;
-    node->parent = cur;
-    node->name_hash = h;
-    node->name = names_.name(id);
-    cur->children.insert(h, node);
-    return node;
+    uint32_t idx = free_head_;
+    if (idx != kNil) {
+        free_head_ = nodes_[idx].next_sibling;
+    } else {
+        idx = static_cast<uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+    }
+    Node& node = nodes_[idx];
+    Node& up = nodes_[parent];
+    node.parent = parent;
+    node.first_child = kNil;
+    node.name.assign(comp);
+    node.prev_sibling = kNil;
+    node.next_sibling = up.first_child;
+    if (up.first_child != kNil) {
+        nodes_[up.first_child].prev_sibling = idx;
+    }
+    up.first_child = idx;
+    node.edge_key = key;
+    edges_.insert(key, idx);
+    return idx;
 }
 
-MetadataCache::Node*
+uint32_t
 MetadataCache::find_or_create(std::string_view p)
 {
-    Node* cur = root_.get();
+    uint32_t cur = kRoot;
     for (std::string_view comp : path::PathView(p)) {
         cur = child_or_create(cur, comp);
     }
@@ -86,85 +98,110 @@ MetadataCache::find_or_create(std::string_view p)
 }
 
 void
-MetadataCache::lru_push_front(Node* node)
+MetadataCache::release_node(uint32_t idx)
 {
-    node->lru_prev = nullptr;
-    node->lru_next = lru_head_;
-    if (lru_head_) {
-        lru_head_->lru_prev = node;
+    // Only valueless leaves are released; the spelling keeps its
+    // capacity for the slot's next tenant.
+    Node& node = nodes_[idx];
+    assert(idx != kRoot && !node.value.has_value() &&
+           node.first_child == kNil);
+    edges_.erase(node.edge_key, idx);
+    if (node.prev_sibling != kNil) {
+        nodes_[node.prev_sibling].next_sibling = node.next_sibling;
+    } else {
+        nodes_[node.parent].first_child = node.next_sibling;
     }
-    lru_head_ = node;
-    if (!lru_tail_) {
-        lru_tail_ = node;
+    if (node.next_sibling != kNil) {
+        nodes_[node.next_sibling].prev_sibling = node.prev_sibling;
+    }
+    node.parent = kNil;
+    node.next_sibling = free_head_;
+    free_head_ = idx;
+}
+
+void
+MetadataCache::lru_push_front(uint32_t idx)
+{
+    Node& node = nodes_[idx];
+    node.lru_prev = kNil;
+    node.lru_next = lru_head_;
+    if (lru_head_ != kNil) {
+        nodes_[lru_head_].lru_prev = idx;
+    }
+    lru_head_ = idx;
+    if (lru_tail_ == kNil) {
+        lru_tail_ = idx;
     }
 }
 
 void
-MetadataCache::lru_unlink(Node* node)
+MetadataCache::lru_unlink(uint32_t idx)
 {
-    if (node->lru_prev) {
-        node->lru_prev->lru_next = node->lru_next;
-    } else if (lru_head_ == node) {
-        lru_head_ = node->lru_next;
+    Node& node = nodes_[idx];
+    if (node.lru_prev != kNil) {
+        nodes_[node.lru_prev].lru_next = node.lru_next;
+    } else if (lru_head_ == idx) {
+        lru_head_ = node.lru_next;
     }
-    if (node->lru_next) {
-        node->lru_next->lru_prev = node->lru_prev;
-    } else if (lru_tail_ == node) {
-        lru_tail_ = node->lru_prev;
+    if (node.lru_next != kNil) {
+        nodes_[node.lru_next].lru_prev = node.lru_prev;
+    } else if (lru_tail_ == idx) {
+        lru_tail_ = node.lru_prev;
     }
-    node->lru_prev = nullptr;
-    node->lru_next = nullptr;
+    node.lru_prev = kNil;
+    node.lru_next = kNil;
 }
 
 void
-MetadataCache::set_value(Node* node, const ns::INode& inode)
+MetadataCache::set_value(uint32_t idx, const ns::INode& inode)
 {
-    if (node->value.has_value()) {
-        bytes_ -= node->value_bytes;
-        lru_unlink(node);
+    Node& node = nodes_[idx];
+    if (node.value.has_value()) {
+        bytes_ -= node.value_bytes;
+        lru_unlink(idx);
     } else {
         ++entries_;
     }
-    node->value = inode;
-    node->value_bytes = inode.metadata_bytes();
-    bytes_ += node->value_bytes;
-    lru_push_front(node);
+    node.value = inode;
+    node.value_bytes = inode.metadata_bytes();
+    bytes_ += node.value_bytes;
+    lru_push_front(idx);
 }
 
 void
-MetadataCache::drop_value(Node* node, bool count_as_invalidation)
+MetadataCache::drop_value(uint32_t idx, bool count_as_invalidation)
 {
-    if (!node->value.has_value()) {
+    Node& node = nodes_[idx];
+    if (!node.value.has_value()) {
         return;
     }
-    bytes_ -= node->value_bytes;
+    bytes_ -= node.value_bytes;
     --entries_;
-    lru_unlink(node);
-    node->value.reset();
-    node->value_bytes = 0;
+    lru_unlink(idx);
+    node.value.reset();
+    node.value_bytes = 0;
     if (count_as_invalidation) {
         invalidations_.add();
     }
 }
 
 void
-MetadataCache::prune(Node* node)
+MetadataCache::prune(uint32_t idx)
 {
     // Remove now-empty nodes bottom-up (never the root).
-    while (node != root_.get() && !node->value.has_value() &&
-           node->children.empty()) {
-        Node* parent = node->parent;
-        parent->children.erase(node->name_hash, node);
-        delete node;
-        node = parent;
+    while (idx != kRoot && !nodes_[idx].value.has_value() &&
+           nodes_[idx].first_child == kNil) {
+        const uint32_t parent = nodes_[idx].parent;
+        release_node(idx);
+        idx = parent;
     }
 }
 
 void
 MetadataCache::evict_until_within_budget()
 {
-    while (bytes_ > config_.capacity_bytes && lru_tail_) {
-        Node* victim = lru_tail_;
+    while (bytes_ > config_.capacity_bytes && lru_tail_ != kNil) {
+        const uint32_t victim = lru_tail_;
         drop_value(victim, /*count_as_invalidation=*/false);
         evictions_.add();
         prune(victim);
@@ -196,7 +233,7 @@ MetadataCache::put_chain(const std::vector<ns::INode>& chain)
     }
     // Chains arrive normalized root-first: descend the trie one component
     // per chain entry directly — no path strings are ever assembled.
-    Node* cur = root_.get();
+    uint32_t cur = kRoot;
     for (const ns::INode& inode : chain) {
         if (inode.id != ns::kRootId) {
             cur = child_or_create(cur, inode.name);
@@ -212,22 +249,24 @@ MetadataCache::put_chain(const std::vector<ns::INode>& chain)
 std::optional<ns::INode>
 MetadataCache::get(std::string_view p)
 {
-    Node* node = find(p);
-    if (!node || !node->value.has_value()) {
+    const uint32_t idx = find(p);
+    if (idx == kNil || !nodes_[idx].value.has_value()) {
         misses_.add();
         return std::nullopt;
     }
     hits_.add();
-    lru_unlink(node);
-    lru_push_front(node);
-    return node->value;
+    if (lru_head_ != idx) {
+        lru_unlink(idx);
+        lru_push_front(idx);
+    }
+    return nodes_[idx].value;
 }
 
 bool
 MetadataCache::contains(std::string_view p) const
 {
-    Node* node = find(p);
-    return node && node->value.has_value();
+    const uint32_t idx = find(p);
+    return idx != kNil && nodes_[idx].value.has_value();
 }
 
 void
@@ -236,60 +275,51 @@ MetadataCache::invalidate(std::string_view p)
     // Log even when nothing is cached at p: an in-flight read may be
     // about to install exactly this path, and the invalidation must win.
     log_invalidation(p, /*prefix=*/false);
-    Node* node = find(p);
-    if (!node) {
+    const uint32_t idx = find(p);
+    if (idx == kNil) {
         return;
     }
-    drop_value(node, /*count_as_invalidation=*/true);
-    prune(node);
+    drop_value(idx, /*count_as_invalidation=*/true);
+    prune(idx);
 }
 
 int64_t
-MetadataCache::destroy_subtree(Node* node)
+MetadataCache::drop_subtree(uint32_t top)
 {
-    // Single fused pass: drop the value, recurse, free — instead of a
-    // drop traversal followed by a destructor traversal.
+    // Post-order over the sibling links: descend to a leaf, drop its
+    // value, release it, and climb back to its parent — which then
+    // descends into its next remaining child. @p top itself loses its
+    // value but keeps its node (the caller prunes it).
     int64_t dropped = 0;
-    if (node->value.has_value()) {
-        drop_value(node, /*count_as_invalidation=*/true);
-        ++dropped;
-    }
-    for (const Node::ChildTable::Slot& s : node->children.slots()) {
-        if (s.value != nullptr) {
-            dropped += destroy_subtree(s.value);
+    uint32_t cur = top;
+    for (;;) {
+        if (nodes_[cur].first_child != kNil) {
+            cur = nodes_[cur].first_child;
+            continue;
         }
+        if (nodes_[cur].value.has_value()) {
+            drop_value(cur, /*count_as_invalidation=*/true);
+            ++dropped;
+        }
+        if (cur == top) {
+            return dropped;
+        }
+        const uint32_t parent = nodes_[cur].parent;
+        release_node(cur);
+        cur = parent;
     }
-    node->children.clear();  // children already freed above
-    delete node;
-    return dropped;
 }
 
 int64_t
 MetadataCache::invalidate_prefix(std::string_view prefix)
 {
     log_invalidation(prefix, /*prefix=*/true);
-    Node* node = find(prefix);
-    if (!node) {
+    const uint32_t idx = find(prefix);
+    if (idx == kNil) {
         return 0;
     }
-    int64_t dropped = 0;
-    if (node != root_.get()) {
-        Node* parent = node->parent;
-        parent->children.erase(node->name_hash, node);
-        dropped = destroy_subtree(node);
-        prune(parent);
-    } else {
-        if (node->value.has_value()) {
-            drop_value(node, /*count_as_invalidation=*/true);
-            ++dropped;
-        }
-        for (const Node::ChildTable::Slot& s : node->children.slots()) {
-            if (s.value != nullptr) {
-                dropped += destroy_subtree(s.value);
-            }
-        }
-        node->children.clear();
-    }
+    const int64_t dropped = drop_subtree(idx);
+    prune(idx);
     return dropped;
 }
 
@@ -299,27 +329,55 @@ MetadataCache::clear()
     invalidate_prefix("/");
 }
 
+size_t
+MetadataCache::resident_bytes() const
+{
+    size_t total = nodes_.capacity() * sizeof(Node) +
+                   edges_.capacity_bytes() +
+                   active_reads_.capacity() * sizeof(ReadSnapshot) +
+                   inv_log_.slots().size() * sizeof(InvLogEntry);
+    for (const Node& node : nodes_) {
+        total += heap_bytes(node.name);
+    }
+    for (const InvLogEntry& entry : inv_log_.slots()) {
+        total += heap_bytes(entry.path);
+    }
+    return total;
+}
+
 MetadataCache::ReadToken
 MetadataCache::begin_read()
 {
-    active_reads_.insert(inv_seq_);
+    if (active_reads_.empty() || active_reads_.back().seq != inv_seq_) {
+        active_reads_.push_back(ReadSnapshot{inv_seq_, 0});
+    }
+    ++active_reads_.back().readers;
     return inv_seq_;
 }
 
 void
 MetadataCache::end_read(ReadToken token)
 {
-    auto it = active_reads_.find(token);
-    if (it != active_reads_.end()) {
-        active_reads_.erase(it);
+    // Snapshots are sorted by seq. Fully released ones retire from the
+    // front only: an inner one stays as a zero-reader placeholder until
+    // it reaches the front.
+    auto it = std::lower_bound(
+        active_reads_.begin(), active_reads_.end(), token,
+        [](const ReadSnapshot& s, uint64_t seq) { return s.seq < seq; });
+    if (it != active_reads_.end() && it->seq == token && it->readers > 0) {
+        --it->readers;
     }
+    active_reads_.erase(
+        active_reads_.begin(),
+        std::find_if(active_reads_.begin(), active_reads_.end(),
+                     [](const ReadSnapshot& s) { return s.readers > 0; }));
     if (active_reads_.empty()) {
         inv_log_.clear();
         return;
     }
     // Entries at or before the oldest active snapshot can no longer
     // affect any reader.
-    uint64_t oldest = *active_reads_.begin();
+    const uint64_t oldest = active_reads_.front().seq;
     while (!inv_log_.empty() && inv_log_.front().seq <= oldest) {
         inv_log_.pop_front();
     }
@@ -343,49 +401,35 @@ MetadataCache::log_invalidation(std::string_view p, bool prefix)
     if (active_reads_.empty()) {
         return;
     }
-    InvLogEntry entry;
+    // The invalidated path may never have been cached, yet a racing
+    // install of exactly that path must still match, so the log keeps its
+    // bytes. assign() reuses the recycled slot's capacity.
+    InvLogEntry& entry = inv_log_.push_back();
     entry.seq = inv_seq_;
+    entry.path.assign(p);
+    entry.depth = path::depth(p);
     entry.prefix = prefix;
-    // Interned (not find): the invalidated path may never have been
-    // cached, but a racing install of exactly that path must still match
-    // the log — so its components need ids.
-    for (std::string_view comp : path::PathView(p)) {
-        entry.comps.push_back(names_.intern(comp));
-    }
-    inv_log_.push_back(std::move(entry));
-}
-
-bool
-MetadataCache::matches(const InvLogEntry& entry, std::string_view p) const
-{
-    // Lockstep component-wise compare of p against the entry's interned
-    // id sequence; allocation-free (the log is consulted per install).
-    size_t i = 0;
-    for (std::string_view comp : path::PathView(p)) {
-        if (i == entry.comps.size()) {
-            // p lies strictly under the logged path.
-            return entry.prefix;
-        }
-        uint32_t id = names_.find(comp);
-        if (id == ns::NameTable::kNoName || id != entry.comps[i]) {
-            // A never-interned component cannot equal any logged id.
-            return false;
-        }
-        ++i;
-    }
-    // p exhausted: equal iff the entry is exhausted too (equality matches
-    // point and prefix entries alike).
-    return i == entry.comps.size();
 }
 
 bool
 MetadataCache::invalidated_since(std::string_view p, ReadToken token) const
 {
-    for (const InvLogEntry& entry : inv_log_) {
-        if (entry.seq <= token) {
+    // Component-wise matching (allocation-free; the log is consulted per
+    // install): a point entry matches p iff they are equal, a prefix
+    // entry iff p is at or under it.
+    int depth = -1;
+    for (size_t i = 0; i < inv_log_.size(); ++i) {
+        const InvLogEntry& entry = inv_log_[i];
+        if (entry.seq <= token || !path::is_under(p, entry.path)) {
             continue;
         }
-        if (matches(entry, p)) {
+        if (entry.prefix) {
+            return true;
+        }
+        if (depth < 0) {
+            depth = path::depth(p);
+        }
+        if (depth == entry.depth) {
             return true;
         }
     }

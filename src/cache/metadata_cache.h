@@ -9,32 +9,32 @@
  * coherence protocol invalidates whole prefixes in one operation. Entries
  * are evicted LRU under a byte budget.
  *
- * Hot-path layout (DESIGN.md §14): every trie node keys its children in a
- * flat open-addressing table by the component's 64-bit FNV-1a hash — the
- * same heterogeneous-hash discipline as NamespaceTree, with linear probing
- * over contiguous slots instead of bucket chains. A walk hashes each
- * component's bytes exactly once and, per level, does one probe sequence
- * plus at most one string verify against the interned spelling (component
- * names live in a per-cache ns::NameTable; nodes view its stable
- * storage). get/contains/invalidate walk via path::PathView and construct
- * no temporary std::string — a steady-state get performs zero heap
- * allocations. Lookups never intern, so probing for absent paths cannot
- * grow the table; the in-flight read-guard log stores interned id
- * sequences and matches installs by 4-byte id compares.
+ * Hot-path layout (DESIGN.md §14): trie nodes live in one per-cache arena
+ * (a vector indexed by uint32_t), linked to their parent, first child,
+ * siblings and LRU neighbours by index, with the component spelling and
+ * the cached value inline. Children are found through one open-addressing
+ * edge table per cache keyed by (parent index, component hash), so a walk
+ * hashes each component's bytes once and, per level, touches one edge
+ * slot and one node. get/contains/invalidate walk via path::PathView and
+ * construct no temporary std::string — a steady-state get performs zero
+ * heap allocations. Freed nodes go on a free list and are reused.
+ *
+ * The in-flight read-guard log keeps each invalidated path's raw bytes in
+ * a ring whose slot strings keep their capacity, and matches installs
+ * component-wise with path::is_under: nothing is interned for paths the
+ * cache never held, and logging is allocation-free once the ring is warm.
  */
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
-#include <set>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/namespace/inode.h"
-#include "src/namespace/namespace_tree.h"
 #include "src/sim/stats.h"
+#include "src/util/name_table.h"
 
 namespace lfs::cache {
 
@@ -113,8 +113,13 @@ class MetadataCache {
     size_t bytes() const { return bytes_; }
     size_t capacity_bytes() const { return config_.capacity_bytes; }
 
-    /** Distinct component names interned so far (diagnostics). */
-    size_t interned_names() const { return names_.size(); }
+    /**
+     * Host memory the cache holds (diagnostics): node arena, edge table,
+     * heap-held component spellings, and the read-guard rings. Unlike
+     * bytes(), which charges cached values against the budget, this is
+     * what the simulator process pays.
+     */
+    size_t resident_bytes() const;
 
     uint64_t hits() const { return hits_.value(); }
     uint64_t misses() const { return misses_.value(); }
@@ -127,46 +132,138 @@ class MetadataCache {
     double hit_rate() const;
 
   private:
-    struct Node;
+    /** Null index: no parent / child / sibling / LRU neighbour. */
+    static constexpr uint32_t kNil = 0xffffffffu;
+    /** The root node's arena index. It is never anyone's child, so 0 is
+        also the edge table's empty-slot sentinel. */
+    static constexpr uint32_t kRoot = 0;
+
+    /** One trie node; holds a value iff an inode is cached at this path. */
+    struct Node {
+        /** Component spelling (inline when short). The only field a walk
+            level's verify reads, so it leads the node. */
+        std::string name;
+        uint32_t parent = kNil;
+        uint32_t first_child = kNil;
+        uint32_t next_sibling = kNil;  ///< doubles as the free-list link
+        uint32_t prev_sibling = kNil;
+        uint64_t edge_key = 0;  ///< this node's key in edges_
+        // Intrusive LRU links (valid only while value is set).
+        uint32_t lru_prev = kNil;
+        uint32_t lru_next = kNil;
+        size_t value_bytes = 0;
+        std::optional<ns::INode> value;
+    };
 
     /**
-     * One invalidation observed while ≥1 store read was in flight. The
-     * path is stored as its interned component-id sequence, so matching
-     * an install against the log compares 4-byte ids, not string
-     * prefixes.
+     * FIFO over a power-of-two vector whose slots are recycled in place:
+     * push_back() hands back the next slot with its old contents (and
+     * their capacity) for the caller to overwrite. (A std::deque would
+     * free and reallocate its blocks as the log slides.)
      */
+    template <class T>
+    class Ring {
+      public:
+        bool empty() const { return size_ == 0; }
+        size_t size() const { return size_; }
+        const std::vector<T>& slots() const { return buf_; }
+
+        T&
+        operator[](size_t i)
+        {
+            return buf_[(head_ + i) & (buf_.size() - 1)];
+        }
+        const T&
+        operator[](size_t i) const
+        {
+            return buf_[(head_ + i) & (buf_.size() - 1)];
+        }
+        T& front() { return (*this)[0]; }
+        T& back() { return (*this)[size_ - 1]; }
+
+        T&
+        push_back()
+        {
+            if (size_ == buf_.size()) {
+                grow();
+            }
+            ++size_;
+            return back();
+        }
+
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & (buf_.size() - 1);
+            --size_;
+        }
+
+        void
+        clear()
+        {
+            head_ = 0;
+            size_ = 0;
+        }
+
+      private:
+        void
+        grow()
+        {
+            std::vector<T> next(buf_.empty() ? 8 : buf_.size() * 2);
+            for (size_t i = 0; i < size_; ++i) {
+                next[i] = std::move((*this)[i]);
+            }
+            buf_ = std::move(next);
+            head_ = 0;
+        }
+
+        std::vector<T> buf_;
+        size_t head_ = 0;
+        size_t size_ = 0;
+    };
+
+    /** One invalidation observed while ≥1 store read was in flight. */
     struct InvLogEntry {
         uint64_t seq = 0;
-        std::vector<uint32_t> comps;  ///< interned ids, root-first
+        std::string path;  ///< as invalidated; slot keeps its capacity
+        int depth = 0;     ///< path::depth(path)
         bool prefix = false;
+    };
+
+    /** In-flight reads sharing one snapshot sequence number. */
+    struct ReadSnapshot {
+        uint64_t seq = 0;
+        uint32_t readers = 0;
     };
 
     void log_invalidation(std::string_view path, bool prefix);
     bool invalidated_since(std::string_view path, ReadToken token) const;
-    bool matches(const InvLogEntry& entry, std::string_view path) const;
 
-    Node* find(std::string_view path) const;
-    Node* child_or_create(Node* cur, std::string_view comp);
-    Node* find_or_create(std::string_view path);
-    void set_value(Node* node, const ns::INode& inode);
-    void drop_value(Node* node, bool count_as_invalidation);
-    void prune(Node* node);
+    uint32_t find(std::string_view path) const;
+    uint32_t child_or_create(uint32_t parent, std::string_view comp);
+    uint32_t find_or_create(std::string_view path);
+    void release_node(uint32_t node);
+    void set_value(uint32_t node, const ns::INode& inode);
+    void drop_value(uint32_t node, bool count_as_invalidation);
+    void prune(uint32_t node);
     void evict_until_within_budget();
-    int64_t destroy_subtree(Node* node);
+    int64_t drop_subtree(uint32_t top);
 
     // Intrusive LRU list over nodes holding values.
-    void lru_push_front(Node* node);
-    void lru_unlink(Node* node);
+    void lru_push_front(uint32_t node);
+    void lru_unlink(uint32_t node);
 
     CacheConfig config_;
-    std::unique_ptr<Node> root_;
-    /** Component-name interner: stable spellings for trie nodes, id
-     *  sequences for the invalidation log. Never probed on the get path. */
-    ns::NameTable names_;
+    /** Node arena; index kRoot is the root. Links are indices, so growth
+        may move nodes — never hold a Node& across an allocation. */
+    std::vector<Node> nodes_;
+    uint32_t free_head_ = kNil;
+    /** (parent, component) -> child index, for every node but the root. */
+    util::ChildTable<uint32_t> edges_;
     size_t entries_ = 0;
     size_t bytes_ = 0;
-    Node* lru_head_ = nullptr;
-    Node* lru_tail_ = nullptr;
+    uint32_t lru_head_ = kNil;
+    uint32_t lru_tail_ = kNil;
     sim::Counter hits_;
     sim::Counter misses_;
     sim::Counter evictions_;
@@ -174,10 +271,11 @@ class MetadataCache {
     sim::Counter guard_rejections_;
 
     // In-flight read guard state: invalidations are logged only while a
-    // read is outstanding; the log is pruned as readers retire.
+    // read is outstanding; the log is pruned as readers retire. Snapshots
+    // are pushed in nondecreasing seq order, so the oldest is the front.
     uint64_t inv_seq_ = 0;
-    std::multiset<uint64_t> active_reads_;
-    std::deque<InvLogEntry> inv_log_;
+    std::vector<ReadSnapshot> active_reads_;
+    Ring<InvLogEntry> inv_log_;
 };
 
 }  // namespace lfs::cache

@@ -1,7 +1,5 @@
 #include "src/core/partitioning.h"
 
-#include <algorithm>
-
 #include "src/util/path.h"
 
 namespace lfs::core {
@@ -18,24 +16,6 @@ int
 NamespacePartitioner::deployment_for(const std::string& p) const
 {
     return ring_.lookup(path::parent(p));
-}
-
-int
-NamespacePartitioner::deployment_for_dir(const std::string& dir) const
-{
-    return ring_.lookup(path::normalize(dir));
-}
-
-std::vector<int>
-NamespacePartitioner::write_target_deployments(const std::string& p) const
-{
-    std::vector<int> out;
-    out.push_back(deployment_for(p));
-    int parent_home = deployment_for(path::parent(p));
-    if (parent_home != out[0]) {
-        out.push_back(parent_home);
-    }
-    return out;
 }
 
 std::vector<int>

@@ -27,16 +27,6 @@ class NamespacePartitioner {
      */
     int deployment_for(const std::string& p) const;
 
-    /** Deployment caching the entries of directory @p dir itself. */
-    int deployment_for_dir(const std::string& dir) const;
-
-    /**
-     * Deployments that a single-inode write on @p p must invalidate: the
-     * partition holding p (keyed by p's parent) and the partition
-     * holding p's parent (keyed by the grandparent), deduplicated.
-     */
-    std::vector<int> write_target_deployments(const std::string& p) const;
-
     /** All deployment ids (subtree operations invalidate everywhere). */
     std::vector<int> all_deployments() const;
 

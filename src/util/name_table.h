@@ -3,7 +3,7 @@
  * Shared flat-hash building blocks for the metadata hot paths: the
  * component-name interner (NameTable) and the open-addressing slot table
  * (ChildTable) that both the namespace's per-directory child maps and the
- * metadata cache's trie child index are built from (DESIGN.md §10, §14,
+ * metadata cache's trie edge table are built from (DESIGN.md §10, §14,
  * §15).
  *
  * Both structures share one discipline: a single FNV-1a hash per string,
@@ -146,9 +146,9 @@ class NameTable {
  * Two key disciplines share this table:
  *  - unique keys (interned name id -> inode id in directory tables, inode
  *    id -> slab slot in the residency index): find_exact()/erase_key();
- *  - hash keys with caller-side verification (component hash -> trie node
- *    in the metadata cache, where distinct names may collide):
- *    find(key, verify)/erase(key, value).
+ *  - hash keys with caller-side verification ((parent, component hash)
+ *    -> trie node index in the metadata cache's edge table, where
+ *    distinct names may collide): find(key, verify)/erase(key, value).
  */
 template <class V>
 class ChildTable {

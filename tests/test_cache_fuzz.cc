@@ -2,21 +2,28 @@
  * @file
  * Randomized equivalence testing of MetadataCache against a trivially
  * correct reference model (std::map<std::string, INode>), plus targeted
- * regressions for the interned-trie rewrite (DESIGN.md §14): guarded
- * installs racing invalidations must still lose after the switch from
- * string-prefix matching to interned-id matching.
+ * regressions for the read guard (DESIGN.md §14): guarded installs racing
+ * invalidations must lose exactly when a logged path equals the install
+ * (point) or covers it (prefix), component-wise.
  *
- * Two regimes:
+ * Regimes:
  *   - unlimited budget: the cache must agree with the model exactly on
  *     every get/contains after any interleaving of put / put_chain /
  *     invalidate / invalidate_prefix;
  *   - small budget: eviction makes the cache a subset — every hit must
  *     match the model's value, and entries() must track the model's
- *     upper bound (soundness, not completeness).
+ *     upper bound (soundness, not completeness);
+ *   - arena churn: nodes pruned and re-created over and over, whole-cache
+ *     drops and refills, and mid-level prefix drops, so freed arena slots
+ *     and edge-table slots are reused under every shape of removal;
+ *   - overlapping reads: many read tokens retire out of order while the
+ *     guard log wraps and grows, and every guarded install is checked
+ *     against a reference log.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -270,8 +277,272 @@ TEST(CacheFuzz, BudgetedCacheIsSoundSubsetOfModel)
     }
 }
 
+/** Depth-4 universe with a wider fan-out than path_universe(): enough
+ *  nodes that churn reuses arena slots at every level. */
+std::vector<std::string>
+deep_universe()
+{
+    const std::vector<std::string> top = {"a", "bb", "ccc"};
+    const std::vector<std::string> mid = {"m", "nn"};
+    const std::vector<std::string> low = {"p", "q", "rr"};
+    const std::vector<std::string> leaves = {"f0", "f1", "f22"};
+    std::vector<std::string> paths;
+    for (const std::string& t : top) {
+        for (const std::string& m : mid) {
+            for (const std::string& l : low) {
+                for (const std::string& f : leaves) {
+                    paths.push_back("/" + t + "/" + m + "/" + l + "/" + f);
+                }
+            }
+        }
+    }
+    return paths;
+}
+
+/** Apply a prefix drop to the reference model. */
+void
+model_drop_prefix(std::map<std::string, ns::INode>& model,
+                  const std::string& prefix)
+{
+    for (auto it = model.begin(); it != model.end();) {
+        if (is_under(it->first, prefix)) {
+            it = model.erase(it);
+        } else {
+            ++it;
+        }
+    }
+}
+
+/** The cache agrees with @p model on every prefix of every universe path. */
+void
+expect_agrees(cache::MetadataCache& cache,
+              const std::map<std::string, ns::INode>& model,
+              const std::vector<std::string>& universe, const char* where)
+{
+    for (const std::string& leaf : universe) {
+        for (const std::string& p : prefixes_of(leaf)) {
+            auto it = model.find(p);
+            ASSERT_EQ(cache.contains(p), it != model.end())
+                << where << " path=" << p;
+            if (it != model.end()) {
+                auto hit = cache.get(p);
+                ASSERT_TRUE(hit.has_value()) << where << " path=" << p;
+                EXPECT_EQ(hit->id, it->second.id) << where << " path=" << p;
+            }
+        }
+    }
+    EXPECT_EQ(cache.entries(), model.size()) << where;
+}
+
+TEST(CacheFuzz, PruneChurnReusesArenaSlots)
+{
+    // Fill the whole universe, then drain it by mid-level prefix drops,
+    // whole-cache drops or point invalidations (each leaf's prune frees
+    // its now-empty ancestors), round after round. Freed nodes must be
+    // reused: every round rebuilds the same trie, so once the first has
+    // sized the arena and the edge table the footprint stays put, and
+    // the cache keeps agreeing with the model throughout.
+    const std::vector<std::string> universe = deep_universe();
+    Rng rng(0x5eed);
+    cache::MetadataCache cache;
+    std::map<std::string, ns::INode> model;
+    uint64_t version = 0;
+    size_t first_round_bytes = 0;
+    for (int round = 0; round < 40; ++round) {
+        const size_t offset = rng.next(universe.size());
+        for (size_t i = 0; i < universe.size(); ++i) {
+            const std::string& p = universe[(offset + i) % universe.size()];
+            if (rng.next(3) == 0) {
+                std::vector<ns::INode> chain = chain_for(p, ++version);
+                cache.put_chain(chain);
+                std::vector<std::string> prefixes = prefixes_of(p);
+                for (size_t k = 0; k < prefixes.size(); ++k) {
+                    model[prefixes[k]] = chain[k];
+                }
+                version += chain.size();
+            } else {
+                ns::INode inode =
+                    make_inode(++version, p.substr(p.rfind('/') + 1));
+                cache.put(p, inode);
+                model[p] = inode;
+            }
+        }
+        expect_agrees(cache, model, universe, "filled");
+        if (round % 3 == 1) {  // mid-level prefix drops
+            for (const std::string& leaf : universe) {
+                std::vector<std::string> prefixes = prefixes_of(leaf);
+                const std::string& mid = prefixes[1 + rng.next(2)];
+                cache.invalidate_prefix(mid);
+                model_drop_prefix(model, mid);
+                if (rng.next(4) == 0) {
+                    expect_agrees(cache, model, universe, "mid-drop");
+                }
+            }
+        } else if (round % 3 == 2) {  // everything at once
+            EXPECT_EQ(cache.invalidate_prefix("/"),
+                      static_cast<int64_t>(model.size()));
+            model.clear();
+        }
+        // Whatever is left goes point-wise, children before parents
+        // (a parent path sorts before everything under it).
+        while (!model.empty()) {
+            auto it = std::prev(model.end());
+            cache.invalidate(it->first);
+            model.erase(it);
+        }
+        expect_agrees(cache, model, universe, "drained");
+        EXPECT_EQ(cache.bytes(), 0u);
+        if (round == 0) {
+            first_round_bytes = cache.resident_bytes();
+        } else {
+            EXPECT_EQ(cache.resident_bytes(), first_round_bytes)
+                << "round " << round << ": freed nodes not reused";
+        }
+    }
+}
+
+TEST(CacheFuzz, RootDropThenRefillMatchesModel)
+{
+    const std::vector<std::string> paths = path_universe();
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed * 0xabcdefull);
+        cache::MetadataCache cache;
+        std::map<std::string, ns::INode> model;
+        uint64_t version = 0;
+        for (int step = 0; step < 3000; ++step) {
+            const std::string& p = paths[rng.next(paths.size())];
+            const uint64_t op = rng.next(40);
+            if (op == 0) {
+                cache.invalidate_prefix("/");
+                model.clear();
+                ASSERT_EQ(cache.entries(), 0u);
+            } else if (op < 4) {
+                cache.invalidate_prefix(p);
+                model_drop_prefix(model, p);
+            } else if (op < 8) {
+                cache.invalidate(p);
+                model.erase(p);
+            } else {
+                ns::INode inode =
+                    make_inode(++version, p.substr(p.rfind('/') + 1));
+                cache.put(p, inode);
+                model[p] = inode;
+            }
+        }
+        expect_agrees(cache, model, paths, "final");
+    }
+}
+
+/** Reference read guard: the invalidation history plus, per open token,
+ *  where in it the token's snapshot was taken. */
+struct GuardModel {
+    struct Inv {
+        std::string path;
+        bool prefix;
+    };
+    struct Open {
+        cache::MetadataCache::ReadToken token;
+        size_t from;  ///< history index at begin_read
+    };
+    std::vector<Inv> history;
+    std::vector<Open> open;
+
+    bool
+    rejects(const Open& read, const std::string& p) const
+    {
+        for (size_t i = read.from; i < history.size(); ++i) {
+            const Inv& inv = history[i];
+            if (inv.prefix ? is_under(p, inv.path) : p == inv.path) {
+                return true;
+            }
+        }
+        return false;
+    }
+};
+
+TEST(CacheFuzz, OverlappingReadsWrapAndGrowTheGuardLog)
+{
+    const std::vector<std::string> paths = path_universe();
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed * 0x77777ull);
+        cache::MetadataCache cache;
+        std::map<std::string, ns::INode> model;
+        GuardModel guard;
+        uint64_t version = 0;
+        uint64_t rejections = 0;
+
+        auto invalidate = [&](const std::string& p, bool prefix) {
+            if (prefix) {
+                cache.invalidate_prefix(p);
+                model_drop_prefix(model, p);
+            } else {
+                cache.invalidate(p);
+                model.erase(p);
+            }
+            guard.history.push_back({p, prefix});
+        };
+        auto retire = [&](size_t k) {
+            cache.end_read(guard.open[k].token);
+            guard.open.erase(guard.open.begin() +
+                             static_cast<std::ptrdiff_t>(k));
+        };
+
+        // Scripted start: the log's head moves off slot 0 (the oldest
+        // read retires), then a burst outgrows the ring while a younger
+        // read still needs every entry after its snapshot.
+        guard.open.push_back({cache.begin_read(), guard.history.size()});
+        for (int i = 0; i < 5; ++i) {
+            invalidate(paths[rng.next(paths.size())], false);
+        }
+        guard.open.push_back({cache.begin_read(), guard.history.size()});
+        for (int i = 0; i < 3; ++i) {
+            invalidate(paths[rng.next(paths.size())], rng.next(2) == 0);
+        }
+        retire(0);
+        for (int i = 0; i < 40; ++i) {
+            invalidate(paths[rng.next(paths.size())], rng.next(4) == 0);
+        }
+
+        for (int step = 0; step < 6000; ++step) {
+            const std::string& p = paths[rng.next(paths.size())];
+            const uint64_t op = rng.next(16);
+            if (op < 3 && guard.open.size() < 24) {
+                guard.open.push_back(
+                    {cache.begin_read(), guard.history.size()});
+            } else if (op < 6 && !guard.open.empty()) {
+                // Mostly out of order: inner snapshots retire first.
+                retire(rng.next(guard.open.size()));
+            } else if (op < 9) {
+                invalidate(p, false);
+            } else if (op < 10) {
+                invalidate(p, true);
+            } else if (!guard.open.empty()) {
+                const GuardModel::Open& read =
+                    guard.open[rng.next(guard.open.size())];
+                const bool reject = guard.rejects(read, p);
+                ns::INode inode =
+                    make_inode(++version, p.substr(p.rfind('/') + 1));
+                cache.put_guarded(p, inode, read.token);
+                if (reject) {
+                    ++rejections;
+                } else {
+                    model[p] = inode;
+                }
+                ASSERT_EQ(cache.guard_rejections(), rejections)
+                    << "seed=" << seed << " step=" << step << " path=" << p;
+            }
+        }
+        while (!guard.open.empty()) {
+            retire(guard.open.size() - 1);
+        }
+        expect_agrees(cache, model, paths, "final");
+        EXPECT_GT(rejections, 0u);
+    }
+}
+
 // ----------------------------------------------------------------------
-// Read-guard regressions after the interned-key rewrite
+// Read-guard regressions: a never-cached path, a covering prefix, and a
+// shared leaf spelling under another parent.
 // ----------------------------------------------------------------------
 
 TEST(CacheGuardRegression, PointInvalidationStillBeatsLateInstall)

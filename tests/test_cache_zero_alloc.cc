@@ -2,7 +2,10 @@
  * @file
  * Proves the MetadataCache hot path is allocation-free in steady state
  * (DESIGN.md §14): once a working set is installed, get()/contains() on
- * hits, misses, and deep paths must perform zero heap allocations.
+ * hits, misses, and deep paths must perform zero heap allocations, and
+ * invalidations logged while store reads are in flight allocate nothing
+ * once the guard log's ring is warm — nor grow the cache's footprint,
+ * however many distinct never-cached paths they name.
  *
  * The proof instruments the global allocator — this test lives in its
  * own binary (the test CMake glob builds one executable per test_*.cc)
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -153,6 +157,79 @@ TEST(CacheZeroAlloc, InvalidateOfAbsentPathAllocatesNothing)
     }
     EXPECT_EQ(g_allocations - before, 0u);
     EXPECT_TRUE(cache.contains("/d0/f0"));
+}
+
+/**
+ * Distinct, never-cached file paths of one fixed width, so a warmed guard
+ * log slot already has the capacity for any of them.
+ */
+std::vector<std::string>
+cold_paths(int first, int count)
+{
+    std::vector<std::string> out;
+    out.reserve(static_cast<size_t>(count));
+    char buf[64];
+    for (int i = first; i < first + count; ++i) {
+        std::snprintf(buf, sizeof(buf), "/cold/d%04d/file%07d", i % 1000, i);
+        out.emplace_back(buf);
+    }
+    return out;
+}
+
+/** One coherence burst racing reads: each wave opens a read, logs
+    @p per_wave invalidations of distinct paths, and retires the read. */
+void
+invalidate_under_reads(cache::MetadataCache& cache,
+                       const std::vector<std::string>& paths, size_t per_wave)
+{
+    for (size_t i = 0; i < paths.size(); i += per_wave) {
+        auto token = cache.begin_read();
+        for (size_t j = i; j < i + per_wave && j < paths.size(); ++j) {
+            cache.invalidate(paths[j]);
+        }
+        cache.end_read(token);
+    }
+}
+
+TEST(CacheZeroAlloc, GuardedInvalidationOfColdPathsAllocatesNothing)
+{
+    // Every write's INV round reaches every instance of its target
+    // deployments, most of which never cached the path; with a store read
+    // in flight each one is logged. Once the log ring has grown to a
+    // wave's depth, logging must reuse its slots, not allocate.
+    cache::MetadataCache cache;
+    cache.put("/warm/f", make_inode(1, "f"));
+    constexpr size_t kWave = 64;
+    std::vector<std::string> warm = cold_paths(0, static_cast<int>(kWave));
+    std::vector<std::string> probe = cold_paths(1000, 20000);
+    invalidate_under_reads(cache, warm, kWave);
+
+    uint64_t before = g_allocations;
+    invalidate_under_reads(cache, probe, kWave);
+    EXPECT_EQ(g_allocations - before, 0u)
+        << "guarded invalidations of cold paths allocated";
+    EXPECT_TRUE(cache.contains("/warm/f"));
+    EXPECT_EQ(cache.entries(), 1u);
+}
+
+TEST(CacheZeroAlloc, FootprintDoesNotGrowWithDistinctInvalidatedPaths)
+{
+    // The guard log retains nothing per distinct path: after the first
+    // wave warms it, 20k more distinct invalidations (under reads) leave
+    // the cache's resident footprint exactly where it was.
+    cache::MetadataCache cache;
+    for (int i = 0; i < 32; ++i) {
+        cache.put("/warm/d" + std::to_string(i % 4) + "/f" + std::to_string(i),
+                  make_inode(static_cast<uint64_t>(i),
+                             "f" + std::to_string(i)));
+    }
+    constexpr size_t kWave = 64;
+    invalidate_under_reads(cache, cold_paths(0, static_cast<int>(kWave)),
+                           kWave);
+    const size_t warm_bytes = cache.resident_bytes();
+    invalidate_under_reads(cache, cold_paths(1000, 20000), kWave);
+    EXPECT_EQ(cache.resident_bytes(), warm_bytes);
+    EXPECT_EQ(cache.entries(), 32u);
 }
 
 }  // namespace

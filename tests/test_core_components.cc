@@ -8,7 +8,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 
 #include "src/core/partitioning.h"
 #include "src/core/tcp_registry.h"
@@ -57,17 +56,6 @@ TEST(Partitioner, DirectoriesSpreadAcrossDeployments)
     for (const auto& [deployment, count] : load) {
         EXPECT_GT(count, 4000 / 8 / 4) << deployment;  // no starved member
     }
-}
-
-TEST(Partitioner, WriteTargetsCoverPathAndParentHomes)
-{
-    NamespacePartitioner partitioner(16);
-    std::string p = "/a/b/c";
-    auto targets = partitioner.write_target_deployments(p);
-    std::set<int> target_set(targets.begin(), targets.end());
-    EXPECT_TRUE(target_set.count(partitioner.deployment_for(p)));
-    EXPECT_TRUE(target_set.count(partitioner.deployment_for("/a/b")));
-    EXPECT_LE(targets.size(), 2u);  // deduplicated
 }
 
 TEST(Partitioner, AllDeploymentsEnumerates)

@@ -163,6 +163,40 @@ TEST(LambdaFs, WriteInvalidatesCaches)
     (void)v1;
 }
 
+TEST(LambdaFs, WriteInvalidatesParentOnItsHome)
+{
+    // A create also changes its parent directory's inode, which is homed
+    // by the grandparent's hash — here another deployment than the new
+    // file's. The write's INV round must reach that home too.
+    Simulation sim;
+    LambdaFs fs(sim, small_config());
+    ns::UserContext root;
+    std::string dir;
+    for (int i = 0; dir.empty(); ++i) {
+        std::string d = "/p/d" + std::to_string(i);
+        if (fs.partitioner().deployment_for(d) !=
+            fs.partitioner().deployment_for(d + "/f")) {
+            dir = d;
+        }
+    }
+    fs.authoritative_tree().mkdirs(dir, root, 0);
+    sim.run_until(sim::sec(5));
+
+    OpResult before = run_one(sim, fs, 0, make_op(OpType::kStat, dir));
+    ASSERT_TRUE(before.status.ok());
+    OpResult cached = run_one(sim, fs, 0, make_op(OpType::kStat, dir));
+    ASSERT_TRUE(cached.status.ok());
+    ASSERT_TRUE(cached.cache_hit);
+
+    OpResult create =
+        run_one(sim, fs, 9, make_op(OpType::kCreateFile, dir + "/f"));
+    ASSERT_TRUE(create.status.ok());
+    OpResult after = run_one(sim, fs, 0, make_op(OpType::kStat, dir));
+    ASSERT_TRUE(after.status.ok());
+    EXPECT_FALSE(after.cache_hit);
+    EXPECT_GT(after.inode.version, before.inode.version);
+}
+
 TEST(LambdaFs, MvOfDirectoryInvalidatesDescendants)
 {
     Simulation sim;
