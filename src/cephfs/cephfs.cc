@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/namespace/apply.h"
 #include "src/util/hash.h"
 #include "src/util/path.h"
 
@@ -30,36 +31,23 @@ CephClient::execute(Op op)
 {
     sim::Simulation& sim = fs_.simulation();
     const bool attr = sim.attribution();
-    // Capability hit: read served entirely client-side. statfs is
-    // never cap-cacheable (global counters); a held symlink cap can
-    // satisfy lstat but not open-for-read, which needs the target.
+    // Capability hit: read served entirely client-side. statfs and ls
+    // are never cap-cacheable (global counters, child lists).
     if (is_read_op(op.type) && op.type != OpType::kLs &&
         op.type != OpType::kStatFs) {
-        auto held = caps_.get(op.path);
-        if (held.has_value() && held->is_symlink() &&
-            op.type == OpType::kReadFile) {
-            held.reset();
-        }
-        if (held.has_value()) {
+        std::optional<OpResult> hit = ns::answer_from_cache(
+            op, caps_.get(op.path), fs_.authoritative_tree());
+        if (hit.has_value()) {
             sim::SimTime local_start = sim.now();
             co_await sim::delay(fs_.simulation(),
                                 fs_.config().client_local_op);
-            OpResult result;
             if (attr) {
                 // The client IS the metadata service here: the cap-hit
                 // lookup is its entire service time.
-                result.ledger.add(sim::LatSeg::kNameNodeCpu,
-                                  sim.now() - local_start);
+                hit->ledger.add(sim::LatSeg::kNameNodeCpu,
+                                sim.now() - local_start);
             }
-            if (op.type == OpType::kReadFile && !held->is_file()) {
-                result.status =
-                    Status::failed_precondition("not a file: " + op.path);
-                co_return result;
-            }
-            result.status = Status::make_ok();
-            result.inode = *held;
-            result.cache_hit = true;
-            co_return result;
+            co_return std::move(*hit);
         }
     }
     // Cap miss or mutating op: round trip to the owning MDS. Coarse
@@ -69,7 +57,7 @@ CephClient::execute(Op op)
     OpResult result = co_await fs_.network().client_round(
         [&]() -> sim::Task<OpResult> {
             sim::SimTime start = sim.now();
-            OpResult served = co_await fs_.mds_serve(op, this);
+            OpResult served = co_await fs_.mds_serve(op);
             if (attr) {
                 served.ledger.add(sim::LatSeg::kNameNodeCpu,
                                   sim.now() - start);
@@ -139,66 +127,17 @@ CephFs::revoke_caps(const std::string& p)
 }
 
 sim::Task<OpResult>
-CephFs::mds_serve(Op op, CephClient* requester)
+CephFs::mds_serve(Op op)
 {
-    (void)requester;
     Mds& mds = mds_for(op.path);
     co_await mds.cpu.acquire();
     co_await sim::delay(sim_, is_read_op(op.type) ? config_.read_cpu
                                                   : config_.write_cpu);
     mds.cpu.release();
 
-    OpResult result;
     if (is_read_op(op.type)) {
-        switch (op.type) {
-          case OpType::kReadFile: {
-            auto resolved = tree_.resolve(op.path, op.user);
-            if (!resolved.ok()) {
-                result.status = resolved.status();
-                co_return result;
-            }
-            if (!resolved->target().is_file()) {
-                result.status =
-                    Status::failed_precondition("not a file: " + op.path);
-                co_return result;
-            }
-            if (!ns::check_access(resolved->target(), op.user,
-                                  ns::Access::kRead)) {
-                result.status =
-                    Status::permission_denied("no read on " + op.path);
-                co_return result;
-            }
-            result.inode = resolved->target();
-            result.via_symlink = resolved->via_symlink;
-            break;
-          }
-          case OpType::kStat: {
-            auto resolved =
-                tree_.resolve(op.path, op.user, ns::Follow::kNoFinal);
-            if (!resolved.ok()) {
-                result.status = resolved.status();
-                co_return result;
-            }
-            result.inode = resolved->target();
-            result.via_symlink = resolved->via_symlink;
-            break;
-          }
-          case OpType::kStatFs: {
-            result.stats = tree_.statfs();
-            result.inode = *tree_.get(ns::kRootId);
-            break;
-          }
-          default: {  // kLs
-            auto listed = tree_.list(op.path, op.user);
-            if (!listed.ok()) {
-                result.status = listed.status();
-                co_return result;
-            }
-            result.children = listed.take();
-            break;
-          }
-        }
-        result.status = Status::make_ok();
+        OpResult result = ns::apply_read(tree_, op);
+        result.chain.clear();  // caps hold the target inode only
         co_return result;
     }
 
@@ -214,43 +153,11 @@ CephFs::mds_serve(Op op, CephClient* requester)
     co_await sim::delay(sim_, config_.journal_service);
     journal_->release();
 
-    sim::SimTime now = sim_.now();
-    switch (op.type) {
-      case OpType::kCreateFile: {
-        auto created = tree_.create_file(op.path, op.user, now);
-        if (!created.ok()) {
-            result.status = created.status();
-            co_return result;
-        }
-        result.inode = created.take();
-        break;
-      }
-      case OpType::kMkdir: {
-        auto made = tree_.mkdirs(op.path, op.user, now);
-        if (!made.ok()) {
-            result.status = made.status();
-            co_return result;
-        }
-        result.inode = made.take();
-        break;
-      }
-      case OpType::kDeleteFile: {
-        auto removed = tree_.remove(op.path, op.user, false, now);
-        if (!removed.ok()) {
-            result.status = removed.status();
-            co_return result;
-        }
-        result.inodes_touched = removed.take();
-        break;
-      }
-      case OpType::kSubtreeDelete: {
-        auto removed = tree_.remove(op.path, op.user, true, now);
-        if (!removed.ok()) {
-            result.status = removed.status();
-            co_return result;
-        }
-        result.inodes_touched = removed.take();
-        // All caps under the subtree are revoked wholesale.
+    OpResult result = ns::apply_write(tree_, op, sim_.now());
+    if (result.status.ok() &&
+        (op.type == OpType::kSubtreeDelete || op.type == OpType::kMv ||
+         op.type == OpType::kSubtreeMv)) {
+        // Every cap under a removed or renamed path is revoked wholesale.
         for (auto it = cap_holders_.begin(); it != cap_holders_.end();) {
             if (path::is_under(it->first, op.path)) {
                 for (CephClient* holder : it->second) {
@@ -261,84 +168,7 @@ CephFs::mds_serve(Op op, CephClient* requester)
                 ++it;
             }
         }
-        break;
-      }
-      case OpType::kMv:
-      case OpType::kSubtreeMv: {
-        Status st = tree_.rename(op.path, op.dst, op.user, now);
-        if (!st.ok()) {
-            result.status = st;
-            co_return result;
-        }
-        for (auto it = cap_holders_.begin(); it != cap_holders_.end();) {
-            if (path::is_under(it->first, op.path)) {
-                for (CephClient* holder : it->second) {
-                    holder->revoke(it->first);
-                }
-                it = cap_holders_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        break;
-      }
-      case OpType::kHardLink: {
-        auto linked = tree_.link(op.path, op.dst, op.user, now);
-        if (!linked.ok()) {
-            result.status = linked.status();
-            co_return result;
-        }
-        result.inode = linked.take();
-        break;
-      }
-      case OpType::kSymlink: {
-        auto made = tree_.symlink(op.path, op.dst, op.user, now);
-        if (!made.ok()) {
-            result.status = made.status();
-            co_return result;
-        }
-        result.inode = made.take();
-        break;
-      }
-      case OpType::kSetAttr: {
-        auto updated = tree_.setattr(op.path, op.attr, op.user, now);
-        if (!updated.ok()) {
-            result.status = updated.status();
-            co_return result;
-        }
-        result.inode = updated.take();
-        break;
-      }
-      case OpType::kOpenSession: {
-        auto opened = tree_.open_session(op.path, op.session_id,
-                                         now + op.lease_ttl, op.user);
-        if (!opened.ok()) {
-            result.status = opened.status();
-            co_return result;
-        }
-        result.inode = opened.take();
-        break;
-      }
-      case OpType::kCloseSession: {
-        auto closed = tree_.close_session(op.session_id, now);
-        if (!closed.ok()) {
-            result.status = closed.status();
-            co_return result;
-        }
-        result.inodes_touched = closed.take();
-        break;
-      }
-      case OpType::kGcPrune: {
-        ns::NamespaceTree::GcResult gc = tree_.gc_prune(now);
-        result.inodes_touched = gc.reclaimed;
-        result.stats = tree_.statfs();
-        break;
-      }
-      default:
-        result.status = Status::invalid_argument("bad op");
-        co_return result;
     }
-    result.status = Status::make_ok();
     co_return result;
 }
 

@@ -91,7 +91,7 @@ class CephFs : public workload::Dfs {
     const CephFsConfig& config() const { return config_; }
 
     /** Serve one op at the owning MDS (CPU + journal + cap bookkeeping). */
-    sim::Task<OpResult> mds_serve(Op op, CephClient* requester);
+    sim::Task<OpResult> mds_serve(Op op);
 
     /** Record that @p client holds a cap on @p p. */
     void grant_cap(const std::string& p, CephClient* client);

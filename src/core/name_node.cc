@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/namespace/apply.h"
 #include "src/sim/log.h"
 #include "src/util/path.h"
 
@@ -160,42 +161,17 @@ NameNode::handle_read(const Op& op)
     // the coherence protocol's deployment targeting stays sound.
     const bool home_partition =
         rt_.partitioner.deployment_for(op.path) == instance_.deployment_id();
-    auto cached = home_partition ? cache_.get(op.path)
-                                 : std::optional<ns::INode>();
-    // A cached symlink satisfies lstat, but follow-ops (read, ls) need
-    // the *target*, which lives under its own canonical path — read
-    // through to the store's resolver.
-    if (cached.has_value() && cached->is_symlink() &&
-        (op.type == OpType::kReadFile || op.type == OpType::kLs)) {
-        cached.reset();
-    }
+    std::optional<OpResult> hit = ns::answer_from_cache(
+        op, home_partition ? cache_.get(op.path) : std::optional<ns::INode>(),
+        rt_.store.tree());
     if (home_partition) {
-        (cached.has_value() ? cache_hits_ : cache_misses_).add();
+        (hit.has_value() ? cache_hits_ : cache_misses_).add();
     }
-    if (cached.has_value()) {
-        OpResult result;
+    if (hit.has_value()) {
         if (attr) {
-            result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+            hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
         }
-        if (op.type == OpType::kReadFile && !cached->is_file()) {
-            result.status =
-                Status::failed_precondition("not a file: " + op.path);
-            co_return result;
-        }
-        result.status = Status::make_ok();
-        result.inode = *cached;
-        result.cache_hit = true;
-        if (op.type == OpType::kLs) {
-            // Child names come from the store's directory index; the
-            // cached inode avoids the expensive path-resolve round trip.
-            auto listed = rt_.store.tree().list(op.path, op.user);
-            if (!listed.ok()) {
-                result.status = listed.status();
-                co_return result;
-            }
-            result.children = listed.take();
-        }
-        co_return result;
+        co_return std::move(*hit);
     }
     // Guarded install: the row locks protecting the store read are gone
     // by the time the reply lands here, so any invalidation delivered in
@@ -387,26 +363,13 @@ NameNode::handle(faas::Invocation inv)
         result = co_await handle_read(op);
         nn_span.annotate("cache_hit",
                          static_cast<int64_t>(result.cache_hit ? 1 : 0));
-    } else if (is_subtree_op(op.type) || requires_subtree_protocol(op)) {
+    } else if (ns::needs_subtree_protocol(rt_.store.tree(), op)) {
         result = co_await handle_subtree(op);
     } else {
         result = co_await handle_write(op);
     }
     results.complete(op.op_id, result);
     co_return result;
-}
-
-bool
-NameNode::requires_subtree_protocol(const Op& op) const
-{
-    // mv of a directory relocates every descendant path, so cached
-    // entries under the old prefix must be invalidated subtree-wide.
-    if (op.type != OpType::kMv) {
-        return false;
-    }
-    ns::UserContext root;
-    auto target = rt_.store.tree().stat(op.path, root);
-    return target.ok() && target->is_dir();
 }
 
 }  // namespace lfs::core

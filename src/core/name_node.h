@@ -128,9 +128,6 @@ class NameNode : public faas::FunctionApp, public coord::CacheMember {
     void cache_own_partition_entries(const std::vector<ns::INode>& chain,
                                      cache::MetadataCache::ReadToken token);
 
-    /** True if @p op must escalate to the subtree protocol. */
-    bool requires_subtree_protocol(const Op& op) const;
-
     /**
      * Periodic serverless-compatible maintenance: publishes block-report
      * and liveness info to the persistent store (§1: "re-implements many

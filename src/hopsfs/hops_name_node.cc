@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/namespace/apply.h"
 #include "src/util/path.h"
 
 namespace lfs::hopsfs {
@@ -63,36 +64,15 @@ HopsNameNode::serve_read(const Op& op)
     sim::SimTime cpu_wait = sim_.now() - cpu_start;
     const bool attr = sim_.attribution();
 
-    // statfs aggregates are never cached; symlink follow-ops (read, ls)
-    // need the target under its canonical path, not the cached link.
+    // statfs aggregates are never cached.
     if (cache_ && op.type != OpType::kStatFs) {
-        auto cached = cache_->get(op.path);
-        if (cached.has_value() && cached->is_symlink() &&
-            (op.type == OpType::kReadFile || op.type == OpType::kLs)) {
-            cached.reset();
-        }
-        if (cached.has_value()) {
-            OpResult result;
+        std::optional<OpResult> hit = ns::answer_from_cache(
+            op, cache_->get(op.path), store_.tree());
+        if (hit.has_value()) {
             if (attr) {
-                result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+                hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
             }
-            if (op.type == OpType::kReadFile && !cached->is_file()) {
-                result.status =
-                    Status::failed_precondition("not a file: " + op.path);
-                co_return result;
-            }
-            result.status = Status::make_ok();
-            result.inode = *cached;
-            result.cache_hit = true;
-            if (op.type == OpType::kLs) {
-                auto listed = store_.tree().list(op.path, op.user);
-                if (!listed.ok()) {
-                    result.status = listed.status();
-                    co_return result;
-                }
-                result.children = listed.take();
-            }
-            co_return result;
+            co_return std::move(*hit);
         }
     }
     OpResult result = co_await store_.read_op(op);
@@ -150,16 +130,12 @@ HopsNameNode::serve_write(const Op& op)
 
     // mv of a directory relocates descendant paths: use the subtree
     // invalidation round so cached descendants cannot go stale.
-    if (cache_ && op.type == OpType::kMv) {
-        ns::UserContext root;
-        auto target = store_.tree().stat(op.path, root);
-        if (target.ok() && target->is_dir()) {
-            OpResult result = co_await serve_subtree(op);
-            if (sim_.attribution()) {
-                result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-            }
-            co_return result;
+    if (cache_ && ns::needs_subtree_protocol(store_.tree(), op)) {
+        OpResult result = co_await serve_subtree(op);
+        if (sim_.attribution()) {
+            result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
         }
+        co_return result;
     }
 
     store::MetadataStore::LockedHook hook;

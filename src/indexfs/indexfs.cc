@@ -6,244 +6,37 @@
 
 namespace lfs::indexfs {
 
-namespace {
-
-/** Timed LSM insert used for namespace preloading during warmup. */
-sim::Task<void>
-preload_put(lsm::LsmTree& tree, std::string key, ns::INode inode)
-{
-    Status st = co_await tree.put(std::move(key), std::move(inode));
-    (void)st;
-}
-
-}  // namespace
-
 IndexFsServer::IndexFsServer(IndexFs& fs, sim::Simulation& sim, sim::Rng rng,
-                             const IndexFsConfig& config, int id)
+                             const IndexFsConfig& config)
     : fs_(fs),
       sim_(sim),
-      id_(id),
       cpu_service_(config.server_cpu),
       cpu_(sim, config.server_concurrency),
       lsm_(sim, rng, config.lsm)
 {
 }
 
-ns::FsStats
-IndexFsServer::local_stats() const
-{
-    ns::FsStats stats;
-    stats.files = rows_.files();
-    stats.dirs = rows_.dirs();
-    stats.symlinks = rows_.symlinks();
-    stats.inodes = rows_.rows() + sessions_.orphans();
-    stats.open_sessions = sessions_.open_sessions();
-    stats.orphans = sessions_.orphans();
-    stats.metadata_bytes = rows_.metadata_bytes();
-    return stats;
-}
-
 sim::Task<OpResult>
-IndexFsServer::serve(Op op, sim::SimTime now_version)
+IndexFsServer::compute()
 {
     sim::SimTime cpu_start = sim_.now();
     co_await cpu_.acquire();
     co_await sim::delay(sim_, cpu_service_);
     cpu_.release();
-
     OpResult result;
-    sim::SimTime lsm_start = sim_.now();
+    result.status = Status::make_ok();
     if (sim_.attribution()) {
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, lsm_start - cpu_start);
+        result.ledger.add(sim::LatSeg::kNameNodeCpu, sim_.now() - cpu_start);
     }
-    switch (op.type) {
-      case OpType::kCreateFile:
-      case OpType::kMkdir: {
-        ns::INode inode;
-        inode.name = path::basename(op.path);
-        inode.type = op.type == OpType::kMkdir ? ns::INodeType::kDirectory
-                                               : ns::INodeType::kFile;
-        inode.perms.owner = op.user.uid;
-        inode.mtime = now_version;
-        inode.ctime = now_version;
-        // Deterministic synthetic id: IndexFS rows are keyed by path.
-        inode.id = static_cast<ns::INodeId>(mix64(fnv1a(op.path)) >> 1) + 2;
-        result.status = co_await lsm_.put(op.path, inode);
-        if (result.status.ok()) {
-            rows_.note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kDeleteFile: {
-        if (sessions_.open_count(op.path) > 0) {
-            // Sessions hold the row open: unlink the name but stash the
-            // inode as an orphan until the last holder closes.
-            auto got = co_await lsm_.get(op.path);
-            if (!got.ok()) {
-                result.status = got.status();
-                co_return result;
-            }
-            ns::INode held = got.take();
-            result.status = co_await lsm_.del(op.path);
-            if (result.status.ok()) {
-                rows_.note_del(op.path);
-                sessions_.orphan(op.path, held);
-            }
-            break;
-        }
-        result.status = co_await lsm_.del(op.path);
-        if (result.status.ok()) {
-            rows_.note_del(op.path);
-        }
-        break;
-      }
-      case OpType::kSymlink: {
-        if (!path::is_valid(op.dst)) {
-            result.status = Status::invalid_argument(
-                "bad symlink target: " + op.dst);
-            break;
-        }
-        ns::INode inode;
-        inode.name = path::basename(op.path);
-        inode.type = ns::INodeType::kSymlink;
-        inode.perms.owner = op.user.uid;
-        inode.perms.mode = 0777;
-        inode.mtime = now_version;
-        inode.ctime = now_version;
-        inode.id = static_cast<ns::INodeId>(mix64(fnv1a(op.path)) >> 1) + 2;
-        inode.symlink_target = path::normalize(op.dst);
-        result.status = co_await lsm_.put(op.path, inode);
-        if (result.status.ok()) {
-            rows_.note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kHardLink: {
-        auto got = co_await lsm_.get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            co_return result;
-        }
-        ns::INode src = got.take();
-        if (!src.is_file()) {
-            result.status = Status::failed_precondition(
-                "hard link target is not a file: " + op.path);
-            co_return result;
-        }
-        src.nlink += 1;
-        src.ctime = now_version;
-        ++src.version;
-        ns::INode linked = src;
-        linked.name = path::basename(op.dst);
-        result.status = co_await lsm_.put(op.path, src);
-        if (!result.status.ok()) {
-            co_return result;
-        }
-        rows_.note_put(op.path, src);
-        // The new name may hash to a different partition: hop to the
-        // owning server's store (server-to-server row insert).
-        IndexFsServer& dst_owner = fs_.server_for(op.dst);
-        if (dst_owner.id() != id_) {
-            co_await fs_.network().round_trip(net::LatencyClass::kTcp);
-        }
-        result.status = co_await dst_owner.lsm().put(op.dst, linked);
-        if (result.status.ok()) {
-            dst_owner.rows().note_put(op.dst, linked);
-        }
-        result.inode = linked;
-        break;
-      }
-      case OpType::kSetAttr: {
-        auto got = co_await lsm_.get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            co_return result;
-        }
-        ns::INode inode = got.take();
-        if (!op.user.is_superuser() && op.user.uid != inode.perms.owner) {
-            result.status = Status::permission_denied(
-                "not the owner of " + op.path);
-            co_return result;
-        }
-        if ((op.attr.mask & (AttrUpdate::kOwner | AttrUpdate::kGroup)) !=
-                0 &&
-            !op.user.is_superuser()) {
-            result.status =
-                Status::permission_denied("only the superuser may chown");
-            co_return result;
-        }
-        apply_attr_update(inode, op.attr, now_version);
-        result.status = co_await lsm_.put(op.path, inode);
-        if (result.status.ok()) {
-            rows_.note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kOpenSession: {
-        auto got = co_await lsm_.get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            co_return result;
-        }
-        ns::INode inode = got.take();
-        if (!inode.is_file()) {
-            result.status = Status::failed_precondition(
-                "not a file: " + op.path);
-            co_return result;
-        }
-        if (!ns::check_access(inode, op.user, ns::Access::kRead)) {
-            result.status =
-                Status::permission_denied("no read on " + op.path);
-            co_return result;
-        }
-        sessions_.open(op.session_id, op.path, now_version + op.lease_ttl);
-        result.status = Status::make_ok();
-        result.inode = inode;
-        break;
-      }
-      case OpType::kCloseSession: {
-        result.inodes_touched = sessions_.close(op.session_id);
-        result.status = Status::make_ok();
-        break;
-      }
-      case OpType::kGcPrune: {
-        auto [expired, reclaimed] = sessions_.gc(now_version);
-        (void)expired;
-        result.inodes_touched = reclaimed;
-        result.stats = local_stats();
-        result.status = Status::make_ok();
-        break;
-      }
-      case OpType::kStatFs: {
-        result.stats = local_stats();
-        result.status = Status::make_ok();
-        break;
-      }
-      case OpType::kStat:
-      case OpType::kReadFile: {
-        auto got = co_await lsm_.get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            co_return result;
-        }
-        result.status = Status::make_ok();
-        result.inode = got.take();
-        break;
-      }
-      default:
-        result.status =
-            Status::invalid_argument("unsupported IndexFS op");
-        break;
-    }
-    if (sim_.attribution()) {
-        // LSM-tree work (memtable, WAL, compaction stalls) is the
-        // store-service share of an IndexFS op.
-        result.ledger.add(sim::LatSeg::kStoreService,
-                          sim_.now() - lsm_start);
-    }
+    co_return result;
+}
+
+sim::Task<OpResult>
+IndexFsServer::serve(Op op, sim::SimTime now)
+{
+    OpResult cpu = co_await compute();
+    OpResult result = co_await apply_row(fs_, op, now);
+    result.ledger.merge(cpu.ledger);
     co_return result;
 }
 
@@ -261,52 +54,37 @@ IndexFsClient::execute(Op op)
     op_span.annotate("client", static_cast<int64_t>(id_));
     op.trace = op_span.context();
     sim::Simulation& sim = fs_.simulation();
-    // Namespace-wide ops (statfs, GC) fan out to every partition and
-    // fold the per-server counters; they never touch the lease cache.
+    // Namespace-wide ops (statfs, GC) pay a round to every partition's
+    // server, then read the keyspace-wide counters once; they never
+    // touch the lease cache.
     if (op.type == OpType::kStatFs || op.type == OpType::kGcPrune) {
-        OpResult agg;
-        agg.status = Status::make_ok();
-        agg.inodes_touched = 0;
+        sim::LatencyLedger swept;
         for (int s = 0; s < fs_.server_count(); ++s) {
             OpResult part = co_await fs_.network().client_round(
-                [&] { return fs_.server(s).serve(op, sim.now()); });
-            agg.ledger.merge(part.ledger);
-            if (!part.status.ok()) {
-                agg.status = part.status;
-                co_return agg;
-            }
-            agg.inodes_touched += part.inodes_touched;
-            ns::accumulate(agg.stats, part.stats);
+                [&] { return fs_.server(s).compute(); });
+            swept.merge(part.ledger);
         }
-        if (const ns::INode* root = fs_.authoritative_tree().get(ns::kRootId)) {
-            agg.inode = *root;
-        }
-        co_return agg;
+        OpResult result = co_await apply_row(fs_, op, sim.now());
+        result.ledger.merge(swept);
+        co_return result;
     }
-    // Lease-cached read path (stateless client caching). A cached
-    // symlink row can serve lstat but not open-for-read, which must
-    // chase the target.
+    // Lease-cached read path (stateless client caching).
     if (is_read_op(op.type)) {
         auto it = leases_.find(op.path);
-        if (it != leases_.end()) {
-            if (it->second.expires <= fs_.simulation().now()) {
-                leases_.erase(it);
-            } else if (!(it->second.inode.is_symlink() &&
-                         op.type == OpType::kReadFile)) {
-                sim::SimTime local_start = fs_.simulation().now();
-                co_await sim::delay(fs_.simulation(),
-                                    fs_.config().client_local_op);
-                OpResult result;
-                if (fs_.simulation().attribution()) {
-                    result.ledger.add(
-                        sim::LatSeg::kNameNodeCpu,
-                        fs_.simulation().now() - local_start);
-                }
-                result.status = Status::make_ok();
-                result.inode = it->second.inode;
-                result.cache_hit = true;
-                co_return result;
+        std::optional<OpResult> hit;
+        if (it != leases_.end() && it->second.expires <= sim.now()) {
+            leases_.erase(it);
+        } else if (it != leases_.end()) {
+            hit = answer_from_row_cache(op, it->second.inode);
+        }
+        if (hit.has_value()) {
+            sim::SimTime local_start = sim.now();
+            co_await sim::delay(sim, fs_.config().client_local_op);
+            if (sim.attribution()) {
+                hit->ledger.add(sim::LatSeg::kNameNodeCpu,
+                                sim.now() - local_start);
             }
+            co_return std::move(*hit);
         }
     }
     OpResult result = co_await fs_.network().client_round(
@@ -333,47 +111,43 @@ IndexFsClient::execute(Op op)
             result = std::move(next);
         }
     }
-    if (result.status.ok()) {
-        if (is_read_op(op.type)) {
-            // Bound the lease cache without nuking it wholesale: drop
-            // expired leases first (they are dead weight), then — if the
-            // cache is still over budget — evict the lease closest to
-            // expiry. Clearing the whole map here used to throw away
-            // every live lease whenever the cap was crossed, turning the
-            // hot read path into a miss storm.
-            size_t cap =
-                static_cast<size_t>(fs_.config().client_cache_entries);
-            if (leases_.size() > cap) {
-                sim::SimTime now = fs_.simulation().now();
-                for (auto it = leases_.begin(); it != leases_.end();) {
-                    it = it->second.expires <= now ? leases_.erase(it)
-                                                   : std::next(it);
-                }
-                while (leases_.size() > cap) {
-                    auto victim = leases_.begin();
-                    for (auto it = std::next(leases_.begin());
-                         it != leases_.end(); ++it) {
-                        if (it->second.expires < victim->second.expires) {
-                            victim = it;
-                        }
-                    }
-                    leases_.erase(victim);
-                }
+    if (result.status.ok() && is_read_op(op.type)) {
+        // Bound the lease cache without nuking it wholesale: drop
+        // expired leases first (they are dead weight), then — if the
+        // cache is still over budget — evict the lease closest to
+        // expiry. Clearing the whole map here used to throw away
+        // every live lease whenever the cap was crossed, turning the
+        // hot read path into a miss storm.
+        size_t cap =
+            static_cast<size_t>(fs_.config().client_cache_entries);
+        if (leases_.size() > cap) {
+            sim::SimTime now = sim.now();
+            for (auto it = leases_.begin(); it != leases_.end();) {
+                it = it->second.expires <= now ? leases_.erase(it)
+                                               : std::next(it);
             }
-            // Keyed by the canonical row path: a symlink-followed read
-            // leases the target under its own name, never the alias.
-            leases_[lease_key] = Lease{
-                result.inode,
-                fs_.simulation().now() + fs_.config().lease_ttl};
-        } else {
-            fs_.apply_to_mirror(op, result);
+            while (leases_.size() > cap) {
+                auto victim = leases_.begin();
+                for (auto it = std::next(leases_.begin());
+                     it != leases_.end(); ++it) {
+                    if (it->second.expires < victim->second.expires) {
+                        victim = it;
+                    }
+                }
+                leases_.erase(victim);
+            }
         }
+        // Keyed by the canonical row path: a symlink-followed read
+        // leases the target under its own name, never the alias.
+        leases_[lease_key] = Lease{
+            result.inode, sim.now() + fs_.config().lease_ttl};
     }
     co_return result;
 }
 
 IndexFs::IndexFs(sim::Simulation& sim, IndexFsConfig config)
-    : sim_(sim),
+    : FlatKeyspace(sim),
+      sim_(sim),
       config_(config),
       rng_(config.seed),
       network_(sim, rng_.fork(), config.network),
@@ -381,7 +155,7 @@ IndexFs::IndexFs(sim::Simulation& sim, IndexFsConfig config)
 {
     for (int i = 0; i < config_.num_servers; ++i) {
         servers_.push_back(std::make_unique<IndexFsServer>(
-            *this, sim_, rng_.fork(), config_, i));
+            *this, sim_, rng_.fork(), config_));
         ring_.add_member(i);
     }
     int total_clients = config_.num_client_vms * config_.clients_per_vm;
@@ -400,56 +174,12 @@ IndexFs::server_for(const std::string& p)
     return *servers_[static_cast<size_t>(ring_.lookup(path::parent(p)))];
 }
 
-void
-IndexFs::apply_to_mirror(const Op& op, const OpResult& result)
+sim::Task<void>
+IndexFs::reach(const std::string& from, const std::string& to)
 {
-    (void)result;
-    ns::UserContext root;
-    switch (op.type) {
-      case OpType::kCreateFile:
-        mirror_.mkdirs(path::parent(op.path), root, sim_.now());
-        mirror_.create_file(op.path, root, sim_.now());
-        break;
-      case OpType::kMkdir:
-        mirror_.mkdirs(op.path, root, sim_.now());
-        break;
-      case OpType::kDeleteFile:
-        mirror_.remove(op.path, root, false, sim_.now());
-        break;
-      case OpType::kSymlink:
-        mirror_.mkdirs(path::parent(op.path), root, sim_.now());
-        mirror_.symlink(op.path, op.dst, root, sim_.now());
-        break;
-      case OpType::kHardLink:
-        mirror_.mkdirs(path::parent(op.dst), root, sim_.now());
-        mirror_.link(op.path, op.dst, root, sim_.now());
-        break;
-      case OpType::kSetAttr:
-        mirror_.setattr(op.path, op.attr, root, sim_.now());
-        break;
-      default:
-        break;
+    if (&server_for(from) != &server_for(to)) {
+        co_await network_.round_trip(net::LatencyClass::kTcp);
     }
-}
-
-void
-IndexFs::preload(const std::string& p, ns::INodeType type)
-{
-    ns::UserContext root;
-    if (type == ns::INodeType::kDirectory) {
-        mirror_.mkdirs(p, root, 0);
-    } else {
-        mirror_.mkdirs(path::parent(p), root, 0);
-        mirror_.create_file(p, root, 0);
-    }
-    ns::INode inode;
-    inode.name = path::basename(p);
-    inode.type = type;
-    inode.id = static_cast<ns::INodeId>(mix64(fnv1a(p)) >> 1) + 2;
-    // Untimed insert directly into the owning server's memtable; any
-    // triggered flushes run during warmup.
-    server_for(p).rows().note_put(p, inode);
-    sim::spawn(preload_put(server_for(p).lsm(), p, inode));
 }
 
 double

@@ -7,10 +7,9 @@
  * authors developed with the IndexFS authors, §4). Clients cache read
  * results under short leases (IndexFS' stateless client caching).
  *
- * The namespace semantics here are the metadata-table subset that
- * IndexFS' tree-test exercises: mknod (create) and getattr (stat) over a
- * flat path keyspace, plus delete; a mirror NamespaceTree tracks the
- * logical namespace for workload setup.
+ * The namespace semantics are the flat row keyspace's (row_apply.h),
+ * shared with λIndexFS; a mirror NamespaceTree tracks the logical
+ * namespace for workload setup.
  */
 #pragma once
 
@@ -20,7 +19,7 @@
 
 #include "src/cache/metadata_cache.h"
 #include "src/cost/pricing.h"
-#include "src/indexfs/flat_registry.h"
+#include "src/indexfs/row_apply.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/net/network.h"
@@ -54,27 +53,25 @@ class IndexFs;
 class IndexFsServer {
   public:
     IndexFsServer(IndexFs& fs, sim::Simulation& sim, sim::Rng rng,
-                  const IndexFsConfig& config, int id);
+                  const IndexFsConfig& config);
 
-    sim::Task<OpResult> serve(Op op, sim::SimTime now_version);
+    /** Serve @p op: server CPU, then the shared row apply at @p now. */
+    sim::Task<OpResult> serve(Op op, sim::SimTime now);
+
+    /**
+     * One request's server CPU (queueing included) and nothing else:
+     * this partition's share of a namespace-wide sweep (statfs, GC).
+     */
+    sim::Task<OpResult> compute();
 
     lsm::LsmTree& lsm() { return lsm_; }
-    /** Row-type bookkeeping for this partition (statfs counters). */
-    RowRegistry& rows() { return rows_; }
-    int id() const { return id_; }
-
-    /** This partition's statfs contribution (rows + session state). */
-    ns::FsStats local_stats() const;
 
   private:
     IndexFs& fs_;
     sim::Simulation& sim_;
-    int id_;
     sim::SimTime cpu_service_;
     sim::Semaphore cpu_;
     lsm::LsmTree lsm_;
-    RowRegistry rows_;
-    SessionRegistry sessions_;
 };
 
 class IndexFsClient : public workload::DfsClient {
@@ -95,7 +92,7 @@ class IndexFsClient : public workload::DfsClient {
     std::unordered_map<std::string, Lease> leases_;
 };
 
-class IndexFs : public workload::Dfs {
+class IndexFs : public workload::Dfs, public FlatKeyspace {
   public:
     IndexFs(sim::Simulation& sim, IndexFsConfig config);
     ~IndexFs() override;
@@ -108,33 +105,31 @@ class IndexFs : public workload::Dfs {
     }
     size_t client_count() const override { return clients_.size(); }
     workload::SystemMetrics& metrics() override { return metrics_; }
-    ns::NamespaceTree& authoritative_tree() override { return mirror_; }
+    ns::NamespaceTree& authoritative_tree() override { return mirror(); }
     int active_name_nodes() const override { return config_.num_servers; }
     double cost_so_far() const override;
 
+    // FlatKeyspace
+    lsm::LsmTree& lsm_for(const std::string& p) override
+    {
+        return server_for(p).lsm();
+    }
+    /** A row on another server's partition costs a server-to-server hop. */
+    sim::Task<void> reach(const std::string& from,
+                          const std::string& to) override;
+
     // internals
-    sim::Simulation& simulation() { return sim_; }
     net::Network& network() { return network_; }
     const IndexFsConfig& config() const { return config_; }
     IndexFsServer& server_for(const std::string& p);
     IndexFsServer& server(int index) { return *servers_.at(index); }
     int server_count() const { return static_cast<int>(servers_.size()); }
 
-    /** Mirror a successful mutation into the logical namespace. */
-    void apply_to_mirror(const Op& op, const OpResult& result);
-
-    /**
-     * Untimed preload of an existing namespace into servers + mirror
-     * (workload setup).
-     */
-    void preload(const std::string& p, ns::INodeType type);
-
   private:
     sim::Simulation& sim_;
     IndexFsConfig config_;
     sim::Rng rng_;
     net::Network network_;
-    ns::NamespaceTree mirror_;
     ConsistentHashRing ring_;
     std::vector<std::unique_ptr<IndexFsServer>> servers_;
     std::vector<std::unique_ptr<IndexFsClient>> clients_;

@@ -6,27 +6,6 @@
 
 namespace lfs::indexfs {
 
-namespace {
-
-sim::Task<void>
-preload_put(lsm::LsmTree& tree, std::string key, ns::INode inode)
-{
-    Status st = co_await tree.put(std::move(key), std::move(inode));
-    (void)st;
-}
-
-ns::INode
-synth_inode(const std::string& p, ns::INodeType type)
-{
-    ns::INode inode;
-    inode.name = path::basename(p);
-    inode.type = type;
-    inode.id = static_cast<ns::INodeId>(mix64(fnv1a(p)) >> 1) + 2;
-    return inode;
-}
-
-}  // namespace
-
 LambdaIndexNode::LambdaIndexNode(LambdaIndexFs& fs,
                                  faas::FunctionInstance& instance)
     : fs_(fs),
@@ -98,90 +77,48 @@ LambdaIndexNode::handle(faas::Invocation inv)
     if (is_read_op(op.type)) {
         sim::SimTime cpu_start = sim.now();
         co_await instance_.compute(fs_.config().fn_read_cpu);
-        sim::SimTime cpu_wait = sim.now() - cpu_start;
         if (op.type == OpType::kStatFs) {
             // Sweep the per-partition counters (one pass per LSM
             // instance); the aggregate is never cached.
-            OpResult result;
             for (int i = 0; i < fs_.lsm_count(); ++i) {
                 co_await instance_.compute(fs_.config().fn_read_cpu);
             }
+        }
+        sim::SimTime cpu_wait = sim.now() - cpu_start;
+        const bool cacheable = home && op.type != OpType::kStatFs;
+        std::optional<OpResult> hit = answer_from_row_cache(
+            op, cacheable ? cache_.get(op.path) : std::optional<ns::INode>());
+        if (hit.has_value()) {
             if (attr) {
-                result.ledger.add(sim::LatSeg::kNameNodeCpu,
-                                  sim.now() - cpu_start);
+                hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
             }
-            result.stats.files = fs_.rows().files();
-            result.stats.dirs = fs_.rows().dirs();
-            result.stats.symlinks = fs_.rows().symlinks();
-            result.stats.inodes =
-                fs_.rows().rows() + fs_.sessions().orphans();
-            result.stats.open_sessions = fs_.sessions().open_sessions();
-            result.stats.orphans = fs_.sessions().orphans();
-            result.stats.metadata_bytes = fs_.rows().metadata_bytes();
-            if (const ns::INode* root =
-                    fs_.authoritative_tree().get(ns::kRootId)) {
-                result.inode = *root;
-            }
-            result.inodes_touched = result.stats.inodes;
-            result.status = Status::make_ok();
-            co_return result;
+            co_return std::move(*hit);
         }
-        if (home) {
-            auto cached = cache_.get(op.path);
-            // A cached symlink row serves lstat, not open-for-read
-            // (which must chase the target).
-            if (cached.has_value() && cached->is_symlink() &&
-                op.type == OpType::kReadFile) {
-                cached.reset();
-            }
-            if (cached.has_value()) {
-                OpResult result;
-                if (attr) {
-                    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-                }
-                result.status = Status::make_ok();
-                result.inode = *cached;
-                result.cache_hit = true;
-                co_return result;
-            }
-        }
-        sim::SimTime lsm_start = sim.now();
-        auto got = co_await fs_.lsm_for(op.path).get(op.path);
+        OpResult result = co_await apply_row(fs_, op, sim.now());
         // Open-for-read chases symlink rows across partitions, bounded
         // like tree resolution (ELOOP past the follow limit).
         int hops = 0;
-        bool via_symlink = false;
-        while (got.ok() && op.type == OpType::kReadFile &&
-               got->is_symlink()) {
+        while (result.status.ok() && op.type == OpType::kReadFile &&
+               result.inode.is_symlink()) {
             if (++hops > ns::kMaxSymlinkFollows) {
-                OpResult result;
-                if (attr) {
-                    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-                    result.ledger.add(sim::LatSeg::kStoreService,
-                                      sim.now() - lsm_start);
-                }
-                result.status = Status::failed_precondition(
+                OpResult loop;
+                loop.ledger = result.ledger;
+                loop.status = Status::failed_precondition(
                     "symlink loop (ELOOP): " + op.path);
-                co_return result;
+                result = std::move(loop);
+                break;
             }
-            std::string next = got->symlink_target;
-            via_symlink = true;
-            got = co_await fs_.lsm_for(next).get(next);
+            Op hop = op;
+            hop.path = result.inode.symlink_target;
+            OpResult next = co_await apply_row(fs_, hop, sim.now());
+            next.ledger.merge(result.ledger);
+            next.via_symlink = true;
+            result = std::move(next);
         }
-        OpResult result;
         if (attr) {
             result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-            result.ledger.add(sim::LatSeg::kStoreService,
-                              sim.now() - lsm_start);
         }
-        if (!got.ok()) {
-            result.status = got.status();
-            co_return result;
-        }
-        result.status = Status::make_ok();
-        result.inode = got.take();
-        result.via_symlink = via_symlink;
-        if (home && !via_symlink) {
+        if (cacheable && result.status.ok() && !result.via_symlink) {
             // A symlink-followed target lives under its canonical path
             // (likely another partition); never cache it under the alias.
             cache_.put(op.path, result.inode);
@@ -206,178 +143,23 @@ LambdaIndexNode::handle(faas::Invocation inv)
         co_await write_coherence(op);
     }
     sim::SimTime lsm_start = sim.now();
-    OpResult result;
+    sim::LatencyLedger pre;
     if (attr) {
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-        result.ledger.add(sim::LatSeg::kCoherence, lsm_start - inv_start);
+        pre.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+        pre.add(sim::LatSeg::kCoherence, lsm_start - inv_start);
     }
-    sim::SimTime now_version = fs_.simulation().now();
-    switch (op.type) {
-      case OpType::kCreateFile:
-      case OpType::kMkdir: {
-        ns::INode inode = synth_inode(
-            op.path, op.type == OpType::kMkdir ? ns::INodeType::kDirectory
-                                               : ns::INodeType::kFile);
-        inode.mtime = fs_.simulation().now();
-        result.status =
-            co_await fs_.lsm_for(op.path).put(op.path, inode);
-        if (result.status.ok()) {
-            fs_.rows().note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kDeleteFile: {
-        if (fs_.sessions().open_count(op.path) > 0) {
-            // Unlink the name; sessions still hold the inode, so stash
-            // it as an orphan until the last close (or GC).
-            auto got = co_await fs_.lsm_for(op.path).get(op.path);
-            if (!got.ok()) {
-                result.status = got.status();
-                break;
-            }
-            ns::INode held = got.take();
-            result.status = co_await fs_.lsm_for(op.path).del(op.path);
-            if (result.status.ok()) {
-                fs_.rows().note_del(op.path);
-                fs_.sessions().orphan(op.path, held);
-            }
-            break;
-        }
-        result.status = co_await fs_.lsm_for(op.path).del(op.path);
-        if (result.status.ok()) {
-            fs_.rows().note_del(op.path);
-        }
-        break;
-      }
-      case OpType::kSymlink: {
-        if (!path::is_valid(op.dst)) {
-            result.status = Status::invalid_argument(
-                "bad symlink target: " + op.dst);
-            break;
-        }
-        ns::INode inode = synth_inode(op.path, ns::INodeType::kSymlink);
-        inode.perms.mode = 0777;
-        inode.mtime = now_version;
-        inode.ctime = now_version;
-        inode.symlink_target = path::normalize(op.dst);
-        result.status =
-            co_await fs_.lsm_for(op.path).put(op.path, inode);
-        if (result.status.ok()) {
-            fs_.rows().note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kHardLink: {
-        auto got = co_await fs_.lsm_for(op.path).get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            break;
-        }
-        ns::INode src = got.take();
-        if (!src.is_file()) {
-            result.status = Status::failed_precondition(
-                "hard link target is not a file: " + op.path);
-            break;
-        }
-        src.nlink += 1;
-        src.ctime = now_version;
-        ++src.version;
-        ns::INode linked = src;
-        linked.name = path::basename(op.dst);
-        result.status = co_await fs_.lsm_for(op.path).put(op.path, src);
-        if (!result.status.ok()) {
-            break;
-        }
-        fs_.rows().note_put(op.path, src);
-        result.status = co_await fs_.lsm_for(op.dst).put(op.dst, linked);
-        if (result.status.ok()) {
-            fs_.rows().note_put(op.dst, linked);
-        }
-        result.inode = linked;
-        break;
-      }
-      case OpType::kSetAttr: {
-        auto got = co_await fs_.lsm_for(op.path).get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            break;
-        }
-        ns::INode inode = got.take();
-        if (!op.user.is_superuser() && op.user.uid != inode.perms.owner) {
-            result.status = Status::permission_denied(
-                "not the owner of " + op.path);
-            break;
-        }
-        if ((op.attr.mask & (AttrUpdate::kOwner | AttrUpdate::kGroup)) !=
-                0 &&
-            !op.user.is_superuser()) {
-            result.status =
-                Status::permission_denied("only the superuser may chown");
-            break;
-        }
-        apply_attr_update(inode, op.attr, now_version);
-        result.status =
-            co_await fs_.lsm_for(op.path).put(op.path, inode);
-        if (result.status.ok()) {
-            fs_.rows().note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kOpenSession: {
-        auto got = co_await fs_.lsm_for(op.path).get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            break;
-        }
-        ns::INode inode = got.take();
-        if (!inode.is_file()) {
-            result.status = Status::failed_precondition(
-                "not a file: " + op.path);
-            break;
-        }
-        if (!ns::check_access(inode, op.user, ns::Access::kRead)) {
-            result.status =
-                Status::permission_denied("no read on " + op.path);
-            break;
-        }
-        fs_.sessions().open(op.session_id, op.path,
-                            now_version + op.lease_ttl);
-        result.status = Status::make_ok();
-        result.inode = inode;
-        break;
-      }
-      case OpType::kCloseSession: {
-        result.inodes_touched = fs_.sessions().close(op.session_id);
-        result.status = Status::make_ok();
-        break;
-      }
-      case OpType::kGcPrune: {
-        // One sweep per partition, like the statfs collection.
+    if (op.type == OpType::kGcPrune) {
+        // One sweep per partition, like the statfs collection; the
+        // sweep is the GC's store-service time.
         for (int i = 0; i < fs_.lsm_count(); ++i) {
             co_await instance_.compute(fs_.config().fn_write_cpu);
         }
-        auto [expired, reclaimed] = fs_.sessions().gc(now_version);
-        (void)expired;
-        result.inodes_touched = reclaimed;
-        result.stats.open_sessions = fs_.sessions().open_sessions();
-        result.stats.orphans = fs_.sessions().orphans();
-        result.status = Status::make_ok();
-        break;
-      }
-      default:
-        result.status =
-            Status::invalid_argument("unsupported lambda-indexfs op");
-        break;
+        if (attr) {
+            pre.add(sim::LatSeg::kStoreService, sim.now() - lsm_start);
+        }
     }
-    if (attr) {
-        result.ledger.add(sim::LatSeg::kStoreService, sim.now() - lsm_start);
-    }
-    if (result.status.ok()) {
-        fs_.apply_to_mirror(op);
-    }
+    OpResult result = co_await apply_row(fs_, op, lsm_start);
+    result.ledger.merge(pre);
     co_return result;
 }
 
@@ -443,7 +225,8 @@ LambdaIndexClient::execute(Op op)
 }
 
 LambdaIndexFs::LambdaIndexFs(sim::Simulation& sim, LambdaIndexFsConfig config)
-    : sim_(sim),
+    : FlatKeyspace(sim),
+      sim_(sim),
       config_(config),
       rng_(config.seed),
       network_(sim, rng_.fork(), config.network),
@@ -499,50 +282,10 @@ LambdaIndexFs::lsm_for(const std::string& p)
         lsm_ring_.lookup(path::parent(p)))];
 }
 
-void
-LambdaIndexFs::apply_to_mirror(const Op& op)
+sim::Task<void>
+LambdaIndexFs::reach(const std::string& /*from*/, const std::string& /*to*/)
 {
-    ns::UserContext root;
-    switch (op.type) {
-      case OpType::kCreateFile:
-        mirror_.mkdirs(path::parent(op.path), root, sim_.now());
-        mirror_.create_file(op.path, root, sim_.now());
-        break;
-      case OpType::kMkdir:
-        mirror_.mkdirs(op.path, root, sim_.now());
-        break;
-      case OpType::kDeleteFile:
-        mirror_.remove(op.path, root, false, sim_.now());
-        break;
-      case OpType::kSymlink:
-        mirror_.mkdirs(path::parent(op.path), root, sim_.now());
-        mirror_.symlink(op.path, op.dst, root, sim_.now());
-        break;
-      case OpType::kHardLink:
-        mirror_.mkdirs(path::parent(op.dst), root, sim_.now());
-        mirror_.link(op.path, op.dst, root, sim_.now());
-        break;
-      case OpType::kSetAttr:
-        mirror_.setattr(op.path, op.attr, root, sim_.now());
-        break;
-      default:
-        break;
-    }
-}
-
-void
-LambdaIndexFs::preload(const std::string& p, ns::INodeType type)
-{
-    ns::UserContext root;
-    if (type == ns::INodeType::kDirectory) {
-        mirror_.mkdirs(p, root, 0);
-    } else {
-        mirror_.mkdirs(path::parent(p), root, 0);
-        mirror_.create_file(p, root, 0);
-    }
-    ns::INode inode = synth_inode(p, type);
-    rows_.note_put(p, inode);
-    sim::spawn(preload_put(lsm_for(p), p, std::move(inode)));
+    co_return;
 }
 
 int

@@ -94,7 +94,7 @@ class LambdaIndexClient : public workload::DfsClient {
     uint64_t next_seq_ = 0;
 };
 
-class LambdaIndexFs : public workload::Dfs {
+class LambdaIndexFs : public workload::Dfs, public FlatKeyspace {
   public:
     LambdaIndexFs(sim::Simulation& sim, LambdaIndexFsConfig config);
     ~LambdaIndexFs() override;
@@ -107,12 +107,17 @@ class LambdaIndexFs : public workload::Dfs {
     }
     size_t client_count() const override { return clients_.size(); }
     workload::SystemMetrics& metrics() override { return metrics_; }
-    ns::NamespaceTree& authoritative_tree() override { return mirror_; }
+    ns::NamespaceTree& authoritative_tree() override { return mirror(); }
     int active_name_nodes() const override;
     double cost_so_far() const override;
 
+    // FlatKeyspace: one LevelDB per partition of the directory-name
+    // hash. Functions reach every instance directly, so no hop.
+    lsm::LsmTree& lsm_for(const std::string& p) override;
+    sim::Task<void> reach(const std::string& from,
+                          const std::string& to) override;
+
     // internals
-    sim::Simulation& simulation() { return sim_; }
     net::Network& network() { return network_; }
     faas::Platform& platform() { return platform_; }
     coord::Coordinator& coordinator() { return coordinator_; }
@@ -121,24 +126,6 @@ class LambdaIndexFs : public workload::Dfs {
 
     /** Deployment owning @p p's directory partition. */
     int deployment_for(const std::string& p) const;
-
-    /** LSM instance storing @p p's records. */
-    lsm::LsmTree& lsm_for(const std::string& p);
-
-    /** Mirror a successful mutation into the logical namespace. */
-    void apply_to_mirror(const Op& op);
-
-    /** Untimed preload of an existing path (workload setup). */
-    void preload(const std::string& p, ns::INodeType type);
-
-    /**
-     * Row-type bookkeeping for statfs counters. Central (not per
-     * function instance): instances are ephemeral, the keyspace is not.
-     */
-    RowRegistry& rows() { return rows_; }
-
-    /** File-session lease registry (survives instance churn). */
-    SessionRegistry& sessions() { return sessions_; }
 
     int lsm_count() const { return static_cast<int>(lsm_instances_.size()); }
 
@@ -153,9 +140,6 @@ class LambdaIndexFs : public workload::Dfs {
     ConsistentHashRing deployment_ring_;
     ConsistentHashRing lsm_ring_;
     std::vector<std::unique_ptr<lsm::LsmTree>> lsm_instances_;
-    ns::NamespaceTree mirror_;
-    RowRegistry rows_;
-    SessionRegistry sessions_;
     std::vector<std::unique_ptr<LambdaIndexClient>> clients_;
     workload::SystemMetrics metrics_;
 };

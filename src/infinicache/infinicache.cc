@@ -1,5 +1,6 @@
 #include "src/infinicache/infinicache.h"
 
+#include "src/namespace/apply.h"
 #include "src/util/path.h"
 
 namespace lfs::infinicache {
@@ -31,36 +32,17 @@ CacheNode::handle(faas::Invocation inv)
         sim::SimTime cpu_start = sim.now();
         co_await instance_.compute(fs_.config().read_cpu);
         sim::SimTime cpu_wait = sim.now() - cpu_start;
-        // statfs aggregates are never cached; a cached symlink cannot
-        // satisfy follow-ops (read, ls), which resolve the target.
-        auto cached = op.type == OpType::kStatFs ? std::optional<ns::INode>()
-                                                 : cache_.get(op.path);
-        if (cached.has_value() && cached->is_symlink() &&
-            (op.type == OpType::kReadFile || op.type == OpType::kLs)) {
-            cached.reset();
-        }
-        if (cached.has_value()) {
-            OpResult result;
+        // statfs aggregates are never cached.
+        std::optional<OpResult> hit = ns::answer_from_cache(
+            op,
+            op.type == OpType::kStatFs ? std::optional<ns::INode>()
+                                       : cache_.get(op.path),
+            fs_.store().tree());
+        if (hit.has_value()) {
             if (attr) {
-                result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+                hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
             }
-            if (op.type == OpType::kReadFile && !cached->is_file()) {
-                result.status =
-                    Status::failed_precondition("not a file: " + op.path);
-                co_return result;
-            }
-            result.status = Status::make_ok();
-            result.inode = *cached;
-            result.cache_hit = true;
-            if (op.type == OpType::kLs) {
-                auto listed = fs_.store().tree().list(op.path, op.user);
-                if (!listed.ok()) {
-                    result.status = listed.status();
-                    co_return result;
-                }
-                result.children = listed.take();
-            }
-            co_return result;
+            co_return std::move(*hit);
         }
         OpResult result = co_await fs_.store().read_op(op);
         if (attr) {
@@ -81,11 +63,10 @@ CacheNode::handle(faas::Invocation inv)
     sim::SimTime cpu_start = sim.now();
     co_await instance_.compute(fs_.config().write_cpu);
     sim::SimTime cpu_wait = sim.now() - cpu_start;
-    if (is_subtree_op(op.type)) {
+    if (ns::needs_subtree_protocol(fs_.store().tree(), op)) {
         store::MetadataStore::SubtreeExecution exec;
-        exec.after_lock = [this, &op]() -> sim::Task<void> {
-            fs_.broadcast_prefix_invalidate(op.path);
-            return fs_.invalidate_at_owner(path::parent(op.path));
+        exec.after_lock = [this, &op]() {
+            return subtree_invalidations(op);
         };
         OpResult result = co_await fs_.store().subtree_op(op, exec);
         if (attr) {
@@ -100,6 +81,17 @@ CacheNode::handle(faas::Invocation inv)
         result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
     }
     co_return result;
+}
+
+sim::Task<void>
+CacheNode::subtree_invalidations(Op op)
+{
+    fs_.broadcast_prefix_invalidate(op.path);
+    co_await fs_.invalidate_at_owner(path::parent(op.path));
+    if (has_dst_path(op.type)) {
+        // The destination parent gains an entry (and a new mtime).
+        co_await fs_.invalidate_at_owner(path::parent(op.dst));
+    }
 }
 
 sim::Task<void>

@@ -64,6 +64,12 @@ class CacheNode : public faas::FunctionApp {
     /** Point INVs for a single-inode write, at the owning functions. */
     sim::Task<void> write_invalidations(Op op);
 
+    /**
+     * INVs for a subtree op (including a directory mv): the path's
+     * prefix at every function, then both parents at their owners.
+     */
+    sim::Task<void> subtree_invalidations(Op op);
+
     InfiniCacheFs& fs_;
     faas::FunctionInstance& instance_;
     cache::MetadataCache cache_;

@@ -124,19 +124,6 @@ struct FsStats {
     int64_t metadata_bytes = 0;
 };
 
-/** Fold one shard/partition's counters into an aggregate. */
-inline void
-accumulate(FsStats& into, const FsStats& part)
-{
-    into.inodes += part.inodes;
-    into.files += part.files;
-    into.dirs += part.dirs;
-    into.symlinks += part.symlinks;
-    into.open_sessions += part.open_sessions;
-    into.orphans += part.orphans;
-    into.metadata_bytes += part.metadata_bytes;
-}
-
 /** Identity of the principal performing an operation. */
 struct UserContext {
     int32_t uid = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/namespace/apply.h"
 #include "src/util/hash.h"
 #include "src/util/path.h"
 
@@ -157,187 +158,6 @@ MetadataStore::breaker_record(size_t idx, const Status& st)
     }
 }
 
-OpResult
-MetadataStore::apply_read(const Op& op) const
-{
-    OpResult result;
-    switch (op.type) {
-      case OpType::kReadFile: {
-        auto resolved = tree_.resolve(op.path, op.user);
-        if (!resolved.ok()) {
-            result.status = resolved.status();
-            return result;
-        }
-        if (!resolved->target().is_file()) {
-            result.status = Status::failed_precondition("not a file: " + op.path);
-            return result;
-        }
-        result.chain = resolved->chain;
-        result.inode = resolved->target();
-        result.via_symlink = resolved->via_symlink;
-        break;
-      }
-      case OpType::kStat: {
-        // lstat semantics: a final symlink stats the link itself.
-        auto resolved = tree_.resolve(op.path, op.user, ns::Follow::kNoFinal);
-        if (!resolved.ok()) {
-            result.status = resolved.status();
-            return result;
-        }
-        result.chain = resolved->chain;
-        result.inode = resolved->target();
-        result.via_symlink = resolved->via_symlink;
-        break;
-      }
-      case OpType::kLs: {
-        auto resolved = tree_.resolve(op.path, op.user);
-        if (!resolved.ok()) {
-            result.status = resolved.status();
-            return result;
-        }
-        result.chain = resolved->chain;
-        result.inode = resolved->target();
-        result.via_symlink = resolved->via_symlink;
-        auto listed = tree_.list(op.path, op.user);
-        if (!listed.ok()) {
-            result.status = listed.status();
-            return result;
-        }
-        result.children = listed.take();
-        break;
-      }
-      case OpType::kStatFs: {
-        result.stats = tree_.statfs();
-        result.inode = *tree_.get(ns::kRootId);
-        result.inodes_touched = result.stats.inodes;
-        break;
-      }
-      default:
-        result.status = Status::invalid_argument("not a read op");
-        return result;
-    }
-    result.status = Status::make_ok();
-    return result;
-}
-
-OpResult
-MetadataStore::apply_write(const Op& op)
-{
-    OpResult result;
-    sim::SimTime now = sim_.now();
-    switch (op.type) {
-      case OpType::kCreateFile: {
-        auto created = tree_.create_file(op.path, op.user, now);
-        if (!created.ok()) {
-            result.status = created.status();
-            return result;
-        }
-        result.inode = created.take();
-        break;
-      }
-      case OpType::kMkdir: {
-        auto made = tree_.mkdirs(op.path, op.user, now);
-        if (!made.ok()) {
-            result.status = made.status();
-            return result;
-        }
-        result.inode = made.take();
-        break;
-      }
-      case OpType::kDeleteFile: {
-        auto removed = tree_.remove(op.path, op.user, /*recursive=*/false, now);
-        if (!removed.ok()) {
-            result.status = removed.status();
-            return result;
-        }
-        result.inodes_touched = removed.take();
-        break;
-      }
-      case OpType::kMv: {
-        Status st = tree_.rename(op.path, op.dst, op.user, now);
-        if (!st.ok()) {
-            result.status = st;
-            return result;
-        }
-        break;
-      }
-      case OpType::kSubtreeDelete: {
-        auto removed = tree_.remove(op.path, op.user, /*recursive=*/true, now);
-        if (!removed.ok()) {
-            result.status = removed.status();
-            return result;
-        }
-        result.inodes_touched = removed.take();
-        break;
-      }
-      case OpType::kSubtreeMv: {
-        Status st = tree_.rename(op.path, op.dst, op.user, now);
-        if (!st.ok()) {
-            result.status = st;
-            return result;
-        }
-        break;
-      }
-      case OpType::kHardLink: {
-        auto linked = tree_.link(op.path, op.dst, op.user, now);
-        if (!linked.ok()) {
-            result.status = linked.status();
-            return result;
-        }
-        result.inode = linked.take();
-        break;
-      }
-      case OpType::kSymlink: {
-        auto made = tree_.symlink(op.path, op.dst, op.user, now);
-        if (!made.ok()) {
-            result.status = made.status();
-            return result;
-        }
-        result.inode = made.take();
-        break;
-      }
-      case OpType::kSetAttr: {
-        auto updated = tree_.setattr(op.path, op.attr, op.user, now);
-        if (!updated.ok()) {
-            result.status = updated.status();
-            return result;
-        }
-        result.inode = updated.take();
-        break;
-      }
-      case OpType::kOpenSession: {
-        auto opened = tree_.open_session(op.path, op.session_id,
-                                         now + op.lease_ttl, op.user);
-        if (!opened.ok()) {
-            result.status = opened.status();
-            return result;
-        }
-        result.inode = opened.take();
-        break;
-      }
-      case OpType::kCloseSession: {
-        auto closed = tree_.close_session(op.session_id, now);
-        if (!closed.ok()) {
-            result.status = closed.status();
-            return result;
-        }
-        result.inodes_touched = closed.take();
-        break;
-      }
-      case OpType::kGcPrune: {
-        ns::NamespaceTree::GcResult gc = tree_.gc_prune(now);
-        result.inodes_touched = gc.reclaimed;
-        result.stats = tree_.statfs();
-        break;
-      }
-      default:
-        result.status = Status::invalid_argument("not a write op");
-        return result;
-    }
-    result.status = Status::make_ok();
-    return result;
-}
-
 std::vector<ns::INodeId>
 MetadataStore::write_lock_set(const Op& op) const
 {
@@ -489,7 +309,7 @@ MetadataStore::read_op(Op op)
             result.status = st;
             break;
         }
-        result = apply_read(op);
+        result = ns::apply_read(tree_, op);
         for (ns::INodeId id : lock_ids) {
             locks_.unlock_shared(id);
         }
@@ -595,7 +415,7 @@ MetadataStore::write_op(Op op, LockedHook after_lock)
         }
         co_return shed;
     }
-    OpResult result = apply_write(op);
+    OpResult result = ns::apply_write(tree_, op, sim_.now());
     // Faults are charged while the row locks are held: a sub-resident
     // namespace pays its page-ins inside the transaction window.
     co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
@@ -762,7 +582,7 @@ MetadataStore::subtree_op(Op op, SubtreeExecution exec)
     }
     commit_span.end();
 
-    result = apply_write(op);
+    result = ns::apply_write(tree_, op, sim_.now());
     result.inodes_touched = rows;
     co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
     locks_.release_subtree(op.path);

@@ -183,12 +183,6 @@ class MetadataStore {
     sim::Task<void> charge_ns_faults(uint64_t faults_before,
                                      sim::LatencyLedger* ledger);
 
-    /** Apply the semantic mutation (no timing). */
-    OpResult apply_write(const Op& op);
-
-    /** Perform the semantic read (no timing). */
-    OpResult apply_read(const Op& op) const;
-
     sim::Simulation& sim_;
     net::Network& network_;
     StoreConfig config_;

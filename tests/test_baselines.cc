@@ -108,6 +108,44 @@ TEST(InfiniCache, WriteInvalidatesOwner)
               Code::kNotFound);
 }
 
+TEST(InfiniCache, DirectoryMvInvalidatesCachedDescendants)
+{
+    Simulation sim;
+    infinicache::InfiniCacheFs fs(sim, small_infinicache());
+    sim.run_until(sim::sec(5));
+    ASSERT_TRUE(run_one(sim, fs, 0, make_op(OpType::kMkdir, "/a")).status.ok());
+    ASSERT_TRUE(run_one(sim, fs, 0, make_op(OpType::kCreateFile, "/a/x"))
+                    .status.ok());
+    ASSERT_TRUE(run_one(sim, fs, 0, make_op(OpType::kStat, "/a/x")).status.ok());
+    ASSERT_TRUE(
+        run_one(sim, fs, 0, make_op(OpType::kStat, "/a/x")).cache_hit);
+    ASSERT_TRUE(
+        run_one(sim, fs, 1, make_op(OpType::kMv, "/a", "/b")).status.ok());
+    OpResult stale = run_one(sim, fs, 0, make_op(OpType::kStat, "/a/x"));
+    EXPECT_EQ(stale.status.code(), Code::kNotFound);
+    EXPECT_FALSE(stale.cache_hit);
+    EXPECT_TRUE(run_one(sim, fs, 0, make_op(OpType::kStat, "/b/x")).status.ok());
+}
+
+TEST(InfiniCache, SubtreeMvInvalidatesTheDestinationParent)
+{
+    Simulation sim;
+    infinicache::InfiniCacheFs fs(sim, small_infinicache());
+    ns::UserContext root;
+    fs.authoritative_tree().mkdirs("/a", root, 0);
+    fs.authoritative_tree().mkdirs("/z", root, 0);
+    sim.run_until(sim::sec(5));
+    ASSERT_TRUE(run_one(sim, fs, 0, make_op(OpType::kStat, "/z")).status.ok());
+    ASSERT_TRUE(run_one(sim, fs, 0, make_op(OpType::kStat, "/z")).cache_hit);
+    ASSERT_TRUE(run_one(sim, fs, 1, make_op(OpType::kSubtreeMv, "/a", "/z/a"))
+                    .status.ok());
+    // /z gained an entry: a cached copy of it is stale.
+    OpResult dst_parent = run_one(sim, fs, 0, make_op(OpType::kStat, "/z"));
+    ASSERT_TRUE(dst_parent.status.ok());
+    EXPECT_EQ(dst_parent.inode.version,
+              fs.authoritative_tree().stat("/z", root)->version);
+}
+
 // ---------------------------------------------------------------------
 // CephFS-like
 // ---------------------------------------------------------------------

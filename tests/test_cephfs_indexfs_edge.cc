@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/cephfs/cephfs.h"
 #include "src/indexfs/indexfs.h"
+#include "src/indexfs/lambda_indexfs.h"
 #include "src/sim/simulation.h"
 
 namespace lfs {
@@ -186,6 +188,108 @@ TEST(IndexFsEdge, DeleteIsVisibleThroughLeaselessReads)
     EXPECT_EQ(run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/f"))
                   .status.code(),
               Code::kNotFound);
+}
+
+TEST(IndexFsEdge, CloseByIdFindsTheSessionOnAnyServer)
+{
+    Simulation sim;
+    indexfs::IndexFsConfig config;
+    config.num_servers = 4;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 2;
+    indexfs::IndexFs fs(sim, config);
+    // A file whose partition is not the one "/" routes to.
+    std::string file;
+    for (int i = 0; file.empty(); ++i) {
+        std::string candidate = "/d" + std::to_string(i) + "/f";
+        if (&fs.server_for(candidate) != &fs.server_for("/")) {
+            file = candidate;
+        }
+    }
+    fs.preload(file, ns::INodeType::kFile);
+    sim.run_until(sim::sec(1));
+    Op open = make_op(OpType::kOpenSession, file);
+    open.session_id = 7;
+    open.lease_ttl = sim::sec(60);
+    ASSERT_TRUE(run_one(sim, fs, 0, open).status.ok());
+    // Close by id, with the "/" path convention of the op streams.
+    Op close = make_op(OpType::kCloseSession, "/");
+    close.session_id = 7;
+    ASSERT_TRUE(run_one(sim, fs, 0, close).status.ok());
+    OpResult stats = run_one(sim, fs, 0, make_op(OpType::kStatFs, "/"));
+    ASSERT_TRUE(stats.status.ok());
+    EXPECT_EQ(stats.stats.open_sessions, 0);
+}
+
+/** Statfs, GC and a failed setattr on @p fs (attribution on). */
+std::vector<OpResult>
+row_probe(Simulation& sim, workload::Dfs& fs)
+{
+    std::vector<OpResult> out;
+    Op open = make_op(OpType::kOpenSession, "/tt/f");
+    open.session_id = 1;
+    open.lease_ttl = 0;  // expired at the next GC
+    out.push_back(run_one(sim, fs, 0, open));
+    out.push_back(run_one(sim, fs, 0, make_op(OpType::kDeleteFile, "/tt/f")));
+    out.push_back(run_one(sim, fs, 0, make_op(OpType::kStatFs, "/")));
+    out.push_back(run_one(sim, fs, 0, make_op(OpType::kGcPrune, "/")));
+    Op chmod = make_op(OpType::kSetAttr, "/tt/missing");
+    chmod.attr.mask = AttrUpdate::kMode;
+    out.push_back(run_one(sim, fs, 0, chmod));
+    return out;
+}
+
+TEST(IndexFsEdge, RowOpsAnswerLikeLambdaIndexFs)
+{
+    std::vector<OpResult> index;
+    std::vector<OpResult> lambda;
+    {
+        Simulation sim;
+        sim.set_attribution(true);
+        indexfs::IndexFsConfig config;
+        config.num_servers = 2;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 2;
+        indexfs::IndexFs fs(sim, config);
+        fs.preload("/tt/f", ns::INodeType::kFile);
+        fs.preload("/tt/d", ns::INodeType::kDirectory);
+        sim.run_until(sim::sec(1));
+        index = row_probe(sim, fs);
+    }
+    {
+        Simulation sim;
+        sim.set_attribution(true);
+        indexfs::LambdaIndexFsConfig config;
+        config.num_deployments = 2;
+        config.total_vcpus = 16.0;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 2;
+        config.num_lsm_instances = 2;
+        indexfs::LambdaIndexFs fs(sim, config);
+        fs.preload("/tt/f", ns::INodeType::kFile);
+        fs.preload("/tt/d", ns::INodeType::kDirectory);
+        sim.run_until(sim::sec(1));
+        lambda = row_probe(sim, fs);
+    }
+    ASSERT_EQ(index.size(), lambda.size());
+    for (size_t i = 0; i < index.size(); ++i) {
+        EXPECT_EQ(index[i].status.code(), lambda[i].status.code()) << i;
+        EXPECT_EQ(index[i].inodes_touched, lambda[i].inodes_touched) << i;
+        EXPECT_EQ(index[i].stats.inodes, lambda[i].stats.inodes) << i;
+        EXPECT_EQ(index[i].stats.open_sessions,
+                  lambda[i].stats.open_sessions)
+            << i;
+        EXPECT_EQ(index[i].stats.orphans, lambda[i].stats.orphans) << i;
+    }
+    // statfs counts every live row and orphan, and says so.
+    EXPECT_EQ(index[2].stats.orphans, 1);
+    EXPECT_EQ(index[2].inodes_touched, index[2].stats.inodes);
+    // GC reclaims the orphan its expired session held.
+    EXPECT_EQ(index[3].inodes_touched, 1);
+    // A failed row op still pays, and stamps, its LSM lookup.
+    EXPECT_EQ(index[4].status.code(), Code::kNotFound);
+    EXPECT_GT(index[4].ledger.get(sim::LatSeg::kStoreService), 0);
+    EXPECT_GT(lambda[4].ledger.get(sim::LatSeg::kStoreService), 0);
 }
 
 }  // namespace
