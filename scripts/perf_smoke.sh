@@ -2,9 +2,10 @@
 #
 # Perf-smoke gate: catches event-kernel dispatch-rate regressions.
 #
-#   1. bench_kernel at reduced scale (LFS_KERNEL_EVENTS=300k, 3 reps);
-#      each case's events_per_sec must stay within the regression
-#      tolerance of its checked-in baseline (scripts/perf_baseline.json).
+#   1. bench_kernel at reduced scale (LFS_KERNEL_EVENTS=300k, 3 reps of
+#      at least 50 ms each); each case's median events_per_sec must stay
+#      within the regression tolerance of its checked-in baseline
+#      (scripts/perf_baseline.json).
 #      Baselines sit well below (~60% of) the reference container's
 #      measured rates so ordinary machine variance never false-fails —
 #      the gate is tuned to catch the >20% regression class, e.g.

@@ -59,50 +59,43 @@ Coordinator::deliver_duplicate(CacheMember* member, std::string path,
 {
     co_await network_.transfer(net::LatencyClass::kCoord);
     if (member->member_alive()) {
-        co_await member->deliver_invalidation(std::move(path), subtree);
+        co_await member->deliver_invalidation(path, subtree);
     }
-}
-
-sim::Task<bool>
-Coordinator::try_deliver(int group, CacheMember* member,
-                         const std::string& path, bool subtree)
-{
-    auto inv_fault = network_.message_fault(
-        sim::FaultChannel::kCoordInv, sim::MessageDirection::kRequest, group);
-    if (inv_fault.duplicate) {
-        sim::spawn(deliver_duplicate(member, path, subtree));
-    }
-    // INV hop to the member (the leader pays the latency whether or not
-    // the message survives — it learns of a loss only via the ack timeout).
-    co_await network_.transfer(net::LatencyClass::kCoord);
-    if (inv_fault.drop) {
-        co_return false;
-    }
-    invs_.add();
-    // A member that terminated mid-protocol is excused from ACKing.
-    if (!member->member_alive()) {
-        co_return true;
-    }
-    co_await member->deliver_invalidation(path, subtree);
-    auto ack_fault = network_.message_fault(
-        sim::FaultChannel::kCoordAck, sim::MessageDirection::kReply, group);
-    // ACK hop back to the leader.
-    co_await network_.transfer(net::LatencyClass::kCoord);
-    co_return !ack_fault.drop;
 }
 
 sim::Task<void>
-Coordinator::deliver_one(int group, CacheMember* member, std::string path,
-                         bool subtree, sim::WaitGroup* wg)
+Coordinator::deliver_one(int group, CacheMember* member,
+                         const std::string& path, bool subtree,
+                         sim::WaitGroup* wg)
 {
     sim::SimTime backoff = config_.ack_timeout;
-    while (true) {
-        if (!member->member_alive()) {
-            break;  // excused: a dead member can't serve stale cache reads
+    // A dead member is excused: it can't serve stale cache reads.
+    while (member->member_alive()) {
+        auto inv_fault = network_.message_fault(
+            sim::FaultChannel::kCoordInv, sim::MessageDirection::kRequest,
+            group);
+        if (inv_fault.duplicate) {
+            sim::spawn(deliver_duplicate(member, path, subtree));
         }
-        bool acked = co_await try_deliver(group, member, path, subtree);
-        if (acked) {
-            break;
+        // INV hop to the member (the leader pays the latency whether or
+        // not the message survives — it learns of a loss only via the
+        // ack timeout).
+        co_await network_.transfer(net::LatencyClass::kCoord);
+        if (!inv_fault.drop) {
+            invs_.add();
+            // A member that terminated mid-protocol is excused from ACKing.
+            if (!member->member_alive()) {
+                break;
+            }
+            co_await member->deliver_invalidation(path, subtree);
+            auto ack_fault = network_.message_fault(
+                sim::FaultChannel::kCoordAck, sim::MessageDirection::kReply,
+                group);
+            // ACK hop back to the leader.
+            co_await network_.transfer(net::LatencyClass::kCoord);
+            if (!ack_fault.drop) {
+                break;
+            }
         }
         // Ack timeout elapsed with no ACK: retransmit with backoff. The
         // loop is bounded in practice by the member dying or the fault /
@@ -129,14 +122,17 @@ Coordinator::invalidate(std::vector<InvTarget> targets, CacheMember* exclude,
         if (it == groups_.end()) {
             continue;
         }
-        // Snapshot: members joining after the INV is issued will read the
-        // post-write state from the store, so they need no invalidation.
-        std::vector<CacheMember*> snapshot = it->second;
-        for (CacheMember* member : snapshot) {
+        // The members registered now get the INV: one joining later
+        // reads the post-write state from the store. Spawning leaves the
+        // group as it is — a delivery runs only up to its first hop
+        // before the next one starts — so no snapshot copy is needed.
+        const std::vector<CacheMember*>& members = it->second;
+        for (CacheMember* member : members) {
             if (member == exclude) {
                 continue;
             }
             wg.add();
+            // Every hop reads the round's own copy of the path.
             sim::spawn(deliver_one(target.group, member, target.path,
                                    target.subtree, &wg));
         }

@@ -31,9 +31,11 @@ class CacheMember {
 
     /**
      * Deliver an invalidation for @p path (point) or the subtree rooted
-     * at @p path (when @p subtree). Returning completes the ACK.
+     * at @p path (when @p subtree). Returning completes the ACK. The
+     * caller keeps @p path alive until the returned task completes: the
+     * coordinator's INV round owns one copy that every hop shares.
      */
-    virtual sim::Task<void> deliver_invalidation(std::string path,
+    virtual sim::Task<void> deliver_invalidation(const std::string& path,
                                                  bool subtree) = 0;
 };
 
@@ -97,23 +99,24 @@ class Coordinator {
 
   private:
     /**
-     * Reliable INV delivery to one member: attempts repeat with an
-     * ack-timeout + exponential backoff until either an ACK arrives or
+     * Reliable INV delivery to one member: INV/ACK attempts repeat with
+     * an ack-timeout + exponential backoff until either an ACK arrives or
      * the member is observed dead (dead members are excused from ACKing,
      * Algorithm 1 step 1). Loss of the INV or of the ACK — injected by an
      * installed FaultPlan, including partitions of the member's group —
      * therefore delays but never skips an invalidation: the write holds
      * its exclusive store locks until every live member has ACKed.
+     * @p path belongs to the round and outlives this delivery.
      */
     sim::Task<void> deliver_one(int group, CacheMember* member,
-                                std::string path, bool subtree,
+                                const std::string& path, bool subtree,
                                 sim::WaitGroup* wg);
 
-    /** One INV/ACK attempt. @return true when the leader saw the ACK. */
-    sim::Task<bool> try_deliver(int group, CacheMember* member,
-                                const std::string& path, bool subtree);
-
-    /** Redundant delivery of a duplicated INV (invalidation is idempotent). */
+    /**
+     * Redundant delivery of a duplicated INV (invalidation is
+     * idempotent). The round does not wait for it, so it keeps its own
+     * copy of @p path.
+     */
     sim::Task<void> deliver_duplicate(CacheMember* member, std::string path,
                                       bool subtree);
 

@@ -20,8 +20,7 @@ namespace {
  */
 sim::Task<void>
 co_tcp_round(LfsRuntime& rt, faas::FunctionInstance* instance,
-             faas::Invocation inv,
-             std::shared_ptr<sim::OneShot<OpResult>> cell)
+             faas::Invocation inv, sim::OneShotRef<OpResult> cell)
 {
     sim::SimTime t0 = rt.sim.now();
     co_await rt.network.transfer(net::LatencyClass::kTcp);
@@ -48,8 +47,7 @@ co_tcp_round(LfsRuntime& rt, faas::FunctionInstance* instance,
 /** One HTTP round racing into @p cell (gateway reply may be dropped). */
 sim::Task<void>
 co_http_round(LfsRuntime& rt, faas::Platform& platform, int deployment,
-              faas::Invocation inv,
-              std::shared_ptr<sim::OneShot<OpResult>> cell)
+              faas::Invocation inv, sim::OneShotRef<OpResult> cell)
 {
     OpResult result = co_await platform.deployment(deployment)
                           .invoke_via_gateway(std::move(inv));
@@ -183,6 +181,67 @@ LfsClient::backoff(int attempt, sim::SimTime& prev)
 }
 
 sim::Task<OpResult>
+LfsClient::issue(faas::FunctionInstance* conn, bool use_http, int target,
+                 const Op& op, sim::TraceContext attempt_ctx)
+{
+    faas::Invocation inv;
+    inv.op = op;
+    inv.op.trace = attempt_ctx;
+    inv.client_vm = vm_;
+    inv.tcp_server = tcp_server_;
+    inv.via_http = use_http;
+    // Subtree operations legitimately run for many seconds (Table 3):
+    // they must not be resubmitted on a timeout, and straggler
+    // mitigation must not resubmit them either.
+    sim::SimTime timeout;
+    if (is_subtree_op(op.type)) {
+        timeout = sim::sec(1800);
+    } else if (use_http) {
+        timeout = config_.http_timeout;
+    } else if (config_.straggler_mitigation) {
+        timeout = std::max(config_.tcp_timeout_floor,
+                           static_cast<sim::SimTime>(
+                               config_.straggler_threshold *
+                               avg_latency_us()));
+    } else {
+        timeout = config_.tcp_timeout_default;
+    }
+    // With a deadline, no attempt waits past the remaining budget.
+    if (op.deadline >= 0) {
+        timeout = std::min(
+            timeout, std::max<sim::SimTime>(op.deadline - rt_.sim.now(), 1));
+    }
+    if (use_http) {
+        return issue_http(target, std::move(inv), timeout);
+    }
+    return issue_tcp(conn, std::move(inv), timeout);
+}
+
+sim::Task<void>
+LfsClient::reconcile_create(const Op& op, sim::SimTime issued_at,
+                            OpResult& result, sim::Span& op_span)
+{
+    Op probe;
+    probe.type = OpType::kStat;
+    // A hard link collides at its *new name* (op.dst); the other
+    // creation ops collide at op.path. Stat has lstat semantics, so a
+    // symlink probe sees the link itself.
+    probe.path = op.type == OpType::kHardLink ? op.dst : op.path;
+    probe.user = op.user;
+    OpResult probed = co_await execute(std::move(probe));
+    const bool type_matches = op.type == OpType::kSymlink
+                                  ? probed.inode.is_symlink()
+                                  : probed.inode.is_file();
+    if (probed.status.ok() && type_matches &&
+        probed.inode.ctime >= issued_at) {
+        ++reconciled_creates_;
+        op_span.annotate("reconciled", op_name(op.type));
+        result.status = Status::make_ok();
+        result.inode = probed.inode;
+    }
+}
+
+sim::Task<OpResult>
 LfsClient::execute(Op op)
 {
     op.op_id = (static_cast<uint64_t>(global_id_ + 1) << 40) | ++next_seq_;
@@ -215,38 +274,8 @@ LfsClient::execute(Op op)
     // returned ledger against measured end-to-end latency.
     sim::RetryLedger ledger(rt_.sim.attribution());
 
-    OpResult result;
     sim::SimTime prev_backoff = config_.backoff_base;
     for (int attempt = 1; attempt <= config_.max_attempts; ++attempt) {
-        if (attempt > 1) {
-            // Give up instead of retrying once the op's deadline has
-            // passed: the server would shed the attempt anyway.
-            if (op_expired(op, rt_.sim.now())) {
-                ++deadline_giveups_;
-                op_span.annotate("giveup", "deadline");
-                break;
-            }
-            // Retry budget: when the bucket is dry (error rate far above
-            // the budget ratio), stop resubmitting — this is what turns a
-            // retry storm back into the offered load.
-            if (budget != nullptr && !budget->try_spend()) {
-                ++retry_budget_denied_;
-                op_span.annotate("giveup", "retry_budget");
-                break;
-            }
-            ++resubmissions_;
-            // Back off before every resubmission, TCP and HTTP alike:
-            // hammering a partitioned or overloaded path with immediate
-            // retries only extends the outage.
-            sim::SimTime backoff_start = rt_.sim.now();
-            co_await backoff(attempt, prev_backoff);
-            ledger.backoff(rt_.sim.now() - backoff_start);
-            if (op_expired(op, rt_.sim.now())) {
-                ++deadline_giveups_;
-                op_span.annotate("giveup", "deadline");
-                break;
-            }
-        }
         // Connection choice: own TCP server first, then connection
         // sharing across the VM's other TCP servers (Figure 4).
         faas::FunctionInstance* conn =
@@ -279,45 +308,9 @@ LfsClient::execute(Op op)
             "client", use_http ? "http_attempt" : "tcp_attempt",
             op_span.context());
         attempt_span.annotate("attempt", static_cast<int64_t>(attempt));
-        faas::Invocation inv;
-        inv.op = op;
-        inv.op.trace = attempt_span.context();
-        inv.client_vm = vm_;
-        inv.tcp_server = tcp_server_;
-        inv.via_http = use_http;
-        // With a deadline, no attempt waits past the remaining budget.
-        auto clamp_to_deadline = [&](sim::SimTime timeout) {
-            if (op.deadline < 0) {
-                return timeout;
-            }
-            sim::SimTime remaining =
-                std::max<sim::SimTime>(op.deadline - rt_.sim.now(), 1);
-            return std::min(timeout, remaining);
-        };
-        if (use_http) {
-            // Subtree operations legitimately run for many seconds
-            // (Table 3): they must not be resubmitted on a timeout.
-            sim::SimTime http_timeout = is_subtree_op(op.type)
-                                            ? sim::sec(1800)
-                                            : config_.http_timeout;
-            result = co_await issue_http(target, std::move(inv),
-                                         clamp_to_deadline(http_timeout));
-        } else {
-            sim::SimTime timeout =
-                config_.straggler_mitigation
-                    ? std::max(config_.tcp_timeout_floor,
-                               static_cast<sim::SimTime>(
-                                   config_.straggler_threshold *
-                                   avg_latency_us()))
-                    : config_.tcp_timeout_default;
-            // Subtree operations legitimately run for many seconds
-            // (Table 3); straggler mitigation must not resubmit them.
-            if (is_subtree_op(op.type)) {
-                timeout = sim::sec(1800);
-            }
-            result = co_await issue_tcp(conn, std::move(inv),
-                                        clamp_to_deadline(timeout));
-        }
+        // The one result this frame holds: every exit below returns it.
+        OpResult result = co_await issue(conn, use_http, target, op,
+                                         attempt_span.context());
         sim::SimTime latency = rt_.sim.now() - attempt_start;
         attempt_span.annotate("status", result.status.ok()
                                             ? "ok"
@@ -349,25 +342,7 @@ LfsClient::execute(Op op)
                                        op.type == OpType::kHardLink;
             if (creation_like && may_have_committed &&
                 result.status.code() == Code::kAlreadyExists) {
-                Op probe;
-                probe.type = OpType::kStat;
-                // A hard link collides at its *new name* (op.dst); the
-                // other creation ops collide at op.path. Stat has lstat
-                // semantics, so a symlink probe sees the link itself.
-                probe.path =
-                    op.type == OpType::kHardLink ? op.dst : op.path;
-                probe.user = op.user;
-                OpResult probed = co_await execute(std::move(probe));
-                const bool type_matches =
-                    op.type == OpType::kSymlink ? probed.inode.is_symlink()
-                                                : probed.inode.is_file();
-                if (probed.status.ok() && type_matches &&
-                    probed.inode.ctime >= issued_at) {
-                    ++reconciled_creates_;
-                    op_span.annotate("reconciled", op_name(op.type));
-                    result.status = Status::make_ok();
-                    result.inode = probed.inode;
-                }
+                co_await reconcile_create(op, issued_at, result, op_span);
             }
             // Session ids are unique per op, so an ALREADY_EXISTS after
             // an ambiguous open — or a NOT_FOUND after an ambiguous
@@ -390,8 +365,38 @@ LfsClient::execute(Op op)
             }
             co_return result;
         }
+        if (attempt == config_.max_attempts) {
+            co_return result;  // exhausted retries: report the last failure
+        }
+        // Give up instead of retrying once the op's deadline has passed:
+        // the server would shed the attempt anyway.
+        if (op_expired(op, rt_.sim.now())) {
+            ++deadline_giveups_;
+            op_span.annotate("giveup", "deadline");
+            co_return result;
+        }
+        // Retry budget: when the bucket is dry (error rate far above the
+        // budget ratio), stop resubmitting — this is what turns a retry
+        // storm back into the offered load.
+        if (budget != nullptr && !budget->try_spend()) {
+            ++retry_budget_denied_;
+            op_span.annotate("giveup", "retry_budget");
+            co_return result;
+        }
+        ++resubmissions_;
+        // Back off before every resubmission, TCP and HTTP alike:
+        // hammering a partitioned or overloaded path with immediate
+        // retries only extends the outage.
+        sim::SimTime backoff_start = rt_.sim.now();
+        co_await backoff(attempt + 1, prev_backoff);
+        ledger.backoff(rt_.sim.now() - backoff_start);
+        if (op_expired(op, rt_.sim.now())) {
+            ++deadline_giveups_;
+            op_span.annotate("giveup", "deadline");
+            co_return result;
+        }
     }
-    co_return result;  // exhausted retries: report the last failure
+    co_return OpResult{};  // max_attempts < 1: nothing was attempted
 }
 
 }  // namespace lfs::core

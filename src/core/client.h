@@ -82,6 +82,22 @@ class LfsClient : public workload::DfsClient {
     bool in_anti_thrash_mode() const;
 
   private:
+    /**
+     * One attempt of @p op over the chosen transport, with the attempt's
+     * timeout (straggler, HTTP or subtree) clamped to the op's deadline.
+     */
+    sim::Task<OpResult> issue(faas::FunctionInstance* conn, bool use_http,
+                              int target, const Op& op,
+                              sim::TraceContext attempt_ctx);
+
+    /**
+     * A creation-like op got ALREADY_EXISTS after an ambiguous attempt:
+     * stat the name and, when the file there is this op's own earlier
+     * commit, turn @p result into that success.
+     */
+    sim::Task<void> reconcile_create(const Op& op, sim::SimTime issued_at,
+                                     OpResult& result, sim::Span& op_span);
+
     /** One TCP attempt with a timeout; late replies are discarded. */
     sim::Task<OpResult> issue_tcp(faas::FunctionInstance* instance,
                                   faas::Invocation inv, sim::SimTime timeout);

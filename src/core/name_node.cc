@@ -57,7 +57,7 @@ NameNode::report_loop()
 }
 
 sim::Task<void>
-NameNode::deliver_invalidation(std::string p, bool subtree)
+NameNode::deliver_invalidation(const std::string& p, bool subtree)
 {
     co_await instance_.compute(sim::usec(30));
     if (subtree) {
@@ -85,12 +85,14 @@ NameNode::run_coherence(const Op& op, bool invalidate_ancestors)
     // it from the INV fan-out).
     invalidate_local(op);
     std::vector<coord::Coordinator::InvTarget> targets;
+    targets.reserve(has_dst_path(op.type) ? 4 : 2);
     auto add_path = [&](const std::string& p) {
         targets.push_back(coord::Coordinator::InvTarget{
             rt_.partitioner.deployment_for(p), p, false});
         std::string parent = path::parent(p);
+        const int parent_home = rt_.partitioner.deployment_for(parent);
         targets.push_back(coord::Coordinator::InvTarget{
-            rt_.partitioner.deployment_for(parent), parent, false});
+            parent_home, std::move(parent), false});
     };
     add_path(op.path);
     if (has_dst_path(op.type)) {
@@ -133,6 +135,20 @@ NameNode::run_subtree_coherence(Op op)
     co_await rt_.coordinator.invalidate(std::move(targets), this, op.trace);
 }
 
+namespace {
+
+/** @p result with @p cpu_wait stamped as NameNode CPU when attributing. */
+OpResult
+with_cpu(OpResult result, bool attr, sim::SimTime cpu_wait)
+{
+    if (attr) {
+        result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+    }
+    return result;
+}
+
+}  // namespace
+
 sim::Task<OpResult>
 NameNode::handle_read(const Op& op)
 {
@@ -145,33 +161,24 @@ NameNode::handle_read(const Op& op)
     co_await instance_.compute(cpu);
     // The stamp includes vCPU queueing, not just the service demand.
     sim::SimTime cpu_wait = rt_.sim.now() - cpu_start;
-    if (op.type == OpType::kStatFs) {
-        // Namespace-wide aggregates are never cached — every statfs
-        // reads the per-shard counters through the store.
-        OpResult result = co_await rt_.store.read_op(op);
-        if (attr) {
-            result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-        }
-        result.chain.clear();
-        co_return result;
-    }
     // Only the deployment that owns a path's partition may cache it; an
     // instance serving out-of-partition traffic (anti-thrashing mode
     // routes to any connected NameNode) reads through to the store so
     // the coherence protocol's deployment targeting stays sound.
+    // Namespace-wide aggregates are never cached — every statfs reads
+    // the per-shard counters through the store.
     const bool home_partition =
+        op.type != OpType::kStatFs &&
         rt_.partitioner.deployment_for(op.path) == instance_.deployment_id();
-    std::optional<OpResult> hit = ns::answer_from_cache(
-        op, home_partition ? cache_.get(op.path) : std::optional<ns::INode>(),
-        rt_.store.tree());
     if (home_partition) {
-        (hit.has_value() ? cache_hits_ : cache_misses_).add();
-    }
-    if (hit.has_value()) {
-        if (attr) {
-            hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+        std::optional<ns::INode> cached = cache_.get(op.path);
+        if (ns::cache_answers(op, cached)) {
+            cache_hits_.add();
+            co_return with_cpu(
+                ns::answer_cached(op, *cached, rt_.store.tree()), attr,
+                cpu_wait);
         }
-        co_return std::move(*hit);
+        cache_misses_.add();
     }
     // Guarded install: the row locks protecting the store read are gone
     // by the time the reply lands here, so any invalidation delivered in
@@ -325,9 +332,8 @@ NameNode::handle(faas::Invocation inv)
     if (op_expired(op, rt_.sim.now())) {
         shed_expired_.add();
         nn_span.annotate("shed", "expired");
-        OpResult shed;
-        shed.status = Status::deadline_exceeded("expired at namenode");
-        co_return shed;
+        co_return error_result(
+            Status::deadline_exceeded("expired at namenode"));
     }
     // Transparently-resubmitted requests are answered from the
     // deployment's retained-result table instead of being re-performed
@@ -336,39 +342,58 @@ NameNode::handle(faas::Invocation inv)
     // races the still-in-flight original joins it here instead of
     // executing the op a second time.
     ResultCache& results = rt_.result_cache(instance_.deployment_id());
-    ResultCache::Claim claim = results.claim(op.op_id);
+    const ResultCache::Claim claim = results.claim(op.op_id);
+    // One await, one frame-resident result, whichever way it is served.
+    OpResult result = co_await serve_claimed(claim, op, nn_span);
+    if (claim.execute()) {
+        if (is_read_op(op.type)) {
+            nn_span.annotate("cache_hit",
+                             static_cast<int64_t>(result.cache_hit ? 1 : 0));
+        }
+        results.complete(op.op_id, result);
+    }
+    co_return result;
+}
+
+sim::Task<OpResult>
+NameNode::serve_claimed(ResultCache::Claim claim, const Op& op,
+                        sim::Span& nn_span)
+{
     if (!claim.execute()) {
-        OpResult result;
-        if (claim.retained != nullptr) {
-            result = *claim.retained;
-        } else {
-            result = co_await results.join(op.op_id);
-        }
-        nn_span.annotate("result_cache", "hit");
-        sim::SimTime hit_start = rt_.sim.now();
-        co_await instance_.compute(sim::usec(20));
-        if (rt_.sim.attribution()) {
-            // The retained ledger describes the *original* execution,
-            // whose wall time overlaps the resubmitting client's
-            // retry-wait accounting; returning it would double-count.
-            // This attempt only spent the dedup-lookup compute.
-            result.ledger.clear();
-            result.ledger.add(sim::LatSeg::kNameNodeCpu,
-                              rt_.sim.now() - hit_start);
-        }
-        co_return result;
+        return answer_duplicate(claim, op.op_id, nn_span);
     }
-    OpResult result;
     if (is_read_op(op.type)) {
-        result = co_await handle_read(op);
-        nn_span.annotate("cache_hit",
-                         static_cast<int64_t>(result.cache_hit ? 1 : 0));
-    } else if (ns::needs_subtree_protocol(rt_.store.tree(), op)) {
-        result = co_await handle_subtree(op);
-    } else {
-        result = co_await handle_write(op);
+        return handle_read(op);
     }
-    results.complete(op.op_id, result);
+    if (ns::needs_subtree_protocol(rt_.store.tree(), op)) {
+        return handle_subtree(op);
+    }
+    return handle_write(op);
+}
+
+sim::Task<OpResult>
+NameNode::answer_duplicate(ResultCache::Claim claim, uint64_t op_id,
+                           sim::Span& nn_span)
+{
+    OpResult result;
+    if (claim.retained != nullptr) {
+        result = *claim.retained;
+    } else {
+        result =
+            co_await rt_.result_cache(instance_.deployment_id()).join(op_id);
+    }
+    nn_span.annotate("result_cache", "hit");
+    sim::SimTime hit_start = rt_.sim.now();
+    co_await instance_.compute(sim::usec(20));
+    if (rt_.sim.attribution()) {
+        // The retained ledger describes the *original* execution, whose
+        // wall time overlaps the resubmitting client's retry-wait
+        // accounting; returning it would double-count. This attempt only
+        // spent the dedup-lookup compute.
+        result.ledger.clear();
+        result.ledger.add(sim::LatSeg::kNameNodeCpu,
+                          rt_.sim.now() - hit_start);
+    }
     co_return result;
 }
 

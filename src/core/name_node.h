@@ -101,13 +101,28 @@ class NameNode : public faas::FunctionApp, public coord::CacheMember {
 
     // coord::CacheMember
     bool member_alive() const override { return instance_.alive(); }
-    sim::Task<void> deliver_invalidation(std::string path,
+    sim::Task<void> deliver_invalidation(const std::string& path,
                                          bool subtree) override;
 
     cache::MetadataCache& cache() { return cache_; }
     uint64_t block_reports_published() const { return block_reports_; }
 
   private:
+    /**
+     * The handler for @p op after its result-cache @p claim: a duplicate's
+     * answer, or the read, subtree or single-inode write handler.
+     */
+    sim::Task<OpResult> serve_claimed(ResultCache::Claim claim, const Op& op,
+                                      sim::Span& nn_span);
+
+    /**
+     * Answer a resubmission of op @p op_id from the deployment's result
+     * cache: the retained result, or the in-flight original's once it
+     * completes (@p claim says which).
+     */
+    sim::Task<OpResult> answer_duplicate(ResultCache::Claim claim,
+                                         uint64_t op_id, sim::Span& nn_span);
+
     sim::Task<OpResult> handle_read(const Op& op);
     sim::Task<OpResult> handle_write(const Op& op);
     sim::Task<OpResult> handle_subtree(const Op& op);

@@ -13,9 +13,10 @@ NamespacePartitioner::NamespacePartitioner(int num_deployments, int vnodes)
 }
 
 int
-NamespacePartitioner::deployment_for(const std::string& p) const
+NamespacePartitioner::deployment_for(std::string_view p) const
 {
-    return ring_.lookup(path::parent(p));
+    // Same as ring_.lookup(path::parent(p)), minus the parent string.
+    return ring_.lookup_hash(mix64(path::parent_hash(p)));
 }
 
 std::vector<int>

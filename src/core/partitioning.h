@@ -7,7 +7,7 @@
  */
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/hash.h"
@@ -23,9 +23,10 @@ class NamespacePartitioner {
 
     /**
      * Deployment responsible for caching the metadata of @p p — the one
-     * hashing its parent directory.
+     * hashing its parent directory (normalized, so "/a//b/c" and
+     * "/a/b/c" agree). Allocation-free.
      */
-    int deployment_for(const std::string& p) const;
+    int deployment_for(std::string_view p) const;
 
     /** All deployment ids (subtree operations invalidate everywhere). */
     std::vector<int> all_deployments() const;

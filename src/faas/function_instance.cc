@@ -181,12 +181,10 @@ FunctionInstance::serve(Invocation inv, bool via_http)
         }
     }
     if (!alive()) {
-        OpResult result;
-        result.status = Status::unavailable("function instance dead");
         if (via_http) {
             --http_inflight_;
         }
-        co_return result;
+        co_return error_result(Status::unavailable("function instance dead"));
     }
     begin_request();
     requests_.add();
@@ -210,15 +208,13 @@ sim::Task<OpResult>
 FunctionInstance::serve_http(Invocation inv)
 {
     assert(http_inflight_ > 0 && "serve_http requires reserve_http_slot()");
-    OpResult result = co_await serve(std::move(inv), /*via_http=*/true);
-    co_return result;
+    return serve(std::move(inv), /*via_http=*/true);
 }
 
 sim::Task<OpResult>
 FunctionInstance::serve_tcp(Invocation inv)
 {
-    OpResult result = co_await serve(std::move(inv), /*via_http=*/false);
-    co_return result;
+    return serve(std::move(inv), /*via_http=*/false);
 }
 
 sim::Task<void>

@@ -138,15 +138,22 @@ HopsNameNode::serve_write(const Op& op)
         co_return result;
     }
 
-    store::MetadataStore::LockedHook hook;
-    if (cache_) {
-        hook = [this, &op]() { return write_inv_round(op); };
-    }
-    OpResult result = co_await store_.write_op(op, std::move(hook));
+    OpResult result = co_await store_write(op);
     if (sim_.attribution()) {
         result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
     }
     co_return result;
+}
+
+sim::Task<OpResult>
+HopsNameNode::store_write(const Op& op)
+{
+    // With a cache, the INV round runs under the write's row locks.
+    if (cache_) {
+        return store_.write_op(op,
+                               [this, &op]() { return write_inv_round(op); });
+    }
+    return store_.write_op(op);
 }
 
 sim::Task<OpResult>

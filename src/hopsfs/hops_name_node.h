@@ -66,6 +66,8 @@ class HopsNameNode {
     sim::Task<OpResult> serve_read(const Op& op);
     sim::Task<OpResult> serve_write(const Op& op);
     sim::Task<OpResult> serve_subtree(const Op& op);
+    /** The store write for @p op, with the INV round when caching. */
+    sim::Task<OpResult> store_write(const Op& op);
 
     /** Invalidate this path at its owning NameNode (network hop). */
     sim::Task<void> invalidate_remote(std::string p);

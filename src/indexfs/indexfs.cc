@@ -142,6 +142,15 @@ IndexFsClient::execute(Op op)
         leases_[lease_key] = Lease{
             result.inode, sim.now() + fs_.config().lease_ttl};
     }
+    if (!is_read_op(op.type)) {
+        // The client's own write changed the rows it names (the target,
+        // and for a rename or hard link the second name): a lease on
+        // either would serve this client its pre-write row.
+        leases_.erase(op.path);
+        if (has_dst_path(op.type)) {
+            leases_.erase(op.dst);
+        }
+    }
     co_return result;
 }
 

@@ -34,7 +34,7 @@ LambdaIndexNode::member_alive() const
 }
 
 sim::Task<void>
-LambdaIndexNode::deliver_invalidation(std::string p, bool subtree)
+LambdaIndexNode::deliver_invalidation(const std::string& p, bool subtree)
 {
     co_await instance_.compute(sim::usec(30));
     if (subtree) {

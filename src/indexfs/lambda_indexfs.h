@@ -66,7 +66,7 @@ class LambdaIndexNode : public faas::FunctionApp, public coord::CacheMember {
     void on_shutdown() override;
 
     bool member_alive() const override;
-    sim::Task<void> deliver_invalidation(std::string path,
+    sim::Task<void> deliver_invalidation(const std::string& path,
                                          bool subtree) override;
 
   private:

@@ -130,29 +130,31 @@ apply_write(NamespaceTree& tree, const Op& op, sim::SimTime now)
     return result;
 }
 
-std::optional<OpResult>
-answer_from_cache(const Op& op, const std::optional<INode>& cached,
-                  const NamespaceTree& tree)
+bool
+cache_answers(const Op& op, const std::optional<INode>& cached)
 {
-    if (!cached.has_value() ||
-        (cached->is_symlink() &&
-         (op.type == OpType::kReadFile || op.type == OpType::kLs))) {
-        return std::nullopt;
-    }
+    return cached.has_value() &&
+           !(cached->is_symlink() &&
+             (op.type == OpType::kReadFile || op.type == OpType::kLs));
+}
+
+OpResult
+answer_cached(const Op& op, const INode& cached, const NamespaceTree& tree)
+{
     OpResult result;
     if (op.type == OpType::kReadFile) {
-        if (!cached->is_file()) {
+        if (!cached.is_file()) {
             result.status =
                 Status::failed_precondition("not a file: " + op.path);
             return result;
         }
-        if (!check_access(*cached, op.user, Access::kRead)) {
+        if (!check_access(cached, op.user, Access::kRead)) {
             result.status = Status::permission_denied("no read on " + op.path);
             return result;
         }
     }
     result.status = Status::make_ok();
-    result.inode = *cached;
+    result.inode = cached;
     result.cache_hit = true;
     if (op.type == OpType::kLs) {
         // Child names come from the directory index; the cached inode
@@ -165,6 +167,16 @@ answer_from_cache(const Op& op, const std::optional<INode>& cached,
         result.children = listed.take();
     }
     return result;
+}
+
+std::optional<OpResult>
+answer_from_cache(const Op& op, const std::optional<INode>& cached,
+                  const NamespaceTree& tree)
+{
+    if (!cache_answers(op, cached)) {
+        return std::nullopt;
+    }
+    return answer_cached(op, *cached, tree);
 }
 
 bool

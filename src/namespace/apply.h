@@ -41,6 +41,13 @@ std::optional<OpResult> answer_from_cache(const Op& op,
                                           const std::optional<INode>& cached,
                                           const NamespaceTree& tree);
 
+/** True when answer_from_cache(@p op, @p cached, ...) has an answer. */
+bool cache_answers(const Op& op, const std::optional<INode>& cached);
+
+/** answer_from_cache's answer from a @p cached that cache_answers(). */
+OpResult answer_cached(const Op& op, const INode& cached,
+                       const NamespaceTree& tree);
+
 /**
  * True when @p op must run the subtree protocol: the subtree op types,
  * and a kMv whose source is a directory, since it relocates every

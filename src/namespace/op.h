@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/namespace/inode.h"
@@ -163,13 +164,24 @@ struct OpResult {
     uint64_t trace_id = 0;
 };
 
+/**
+ * A result carrying only @p status. Coroutines return error exits as
+ * ``co_return error_result(...)`` so the result is built in place rather
+ * than held in a second frame-resident OpResult.
+ */
+inline OpResult
+error_result(Status status)
+{
+    OpResult result;
+    result.status = std::move(status);
+    return result;
+}
+
 /** What a client's timer delivers when an attempt got no reply in time. */
 inline OpResult
 client_timeout()
 {
-    OpResult result;
-    result.status = Status::deadline_exceeded("client-side timeout");
-    return result;
+    return error_result(Status::deadline_exceeded("client-side timeout"));
 }
 
 inline const char*

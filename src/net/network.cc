@@ -61,14 +61,14 @@ fault_channel_for(LatencyClass cls)
 
 }  // namespace
 
-sim::Task<void>
+sim::Delay
 Network::transfer(LatencyClass cls)
 {
     sim::SimTime latency = sample(cls);
     if (sim::FaultPlan* plan = sim_.fault_plan()) {
         latency += plan->message_delay(fault_channel_for(cls));
     }
-    co_await sim::delay(sim_, latency);
+    return sim::delay(sim_, latency);
 }
 
 sim::Task<void>

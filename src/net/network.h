@@ -60,11 +60,13 @@ class Network {
 
     /**
      * Suspend the calling process for one message delivery of class
-     * @p cls. An installed FaultPlan may add an extra in-flight delay
-     * (delay faults are safe to apply inline on every message; drops and
-     * duplicates are not — see message_fault()).
+     * @p cls: ``co_await transfer(cls)``. An installed FaultPlan may add
+     * an extra in-flight delay (delay faults are safe to apply inline on
+     * every message; drops and duplicates are not — see message_fault()).
+     * The latency is drawn here, when the message is sent, and the
+     * returned Delay schedules the one wake-up event: no coroutine frame.
      */
-    sim::Task<void> transfer(LatencyClass cls);
+    sim::Delay transfer(LatencyClass cls);
 
     /** Suspend for a full round trip (two one-way samples). */
     sim::Task<void> round_trip(LatencyClass cls);

@@ -17,6 +17,7 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/frame_pool.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
@@ -57,9 +59,9 @@ inline Delay delay(Simulation& sim, SimTime d) { return Delay(sim, d); }
  * A write-once cell with a single awaiting consumer.
  *
  * The producer side is idempotent: only the first try_set() wins, which is
- * how response-vs-timeout races are resolved. Typically held in a
- * std::shared_ptr so a late producer (e.g. a straggler reply) can still
- * safely call try_set on an already-completed cell.
+ * how response-vs-timeout races are resolved. A race shares its cell
+ * through a OneShotRef so a late producer (e.g. a straggler reply) can
+ * still safely call try_set on an already-completed cell.
  */
 template <typename T>
 class OneShot {
@@ -87,24 +89,84 @@ class OneShot {
     auto
     wait()
     {
-        struct Awaiter {
-            OneShot& cell;
-            bool await_ready() const noexcept { return cell.value_.has_value(); }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                assert(!cell.waiter_ && "OneShot supports a single waiter");
-                cell.waiter_ = h;
-            }
-            T await_resume() { return std::move(*cell.value_); }
+        struct Awaiter : Settled {
+            T await_resume() { return std::move(*this->cell.value_); }
         };
-        return Awaiter{*this};
+        return Awaiter{{*this}};
+    }
+
+    /** wait() that leaves the value in the cell for take(). */
+    auto settled() { return Settled{*this}; }
+
+    /** Move the value out of a set cell. */
+    T
+    take()
+    {
+        assert(value_.has_value());
+        return std::move(*value_);
     }
 
   private:
+    struct Settled {
+        OneShot& cell;
+        bool await_ready() const noexcept { return cell.value_.has_value(); }
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            assert(!cell.waiter_ && "OneShot supports a single waiter");
+            cell.waiter_ = h;
+        }
+        void await_resume() const noexcept {}
+    };
+
     Simulation& sim_;
     std::optional<T> value_;
     std::coroutine_handle<> waiter_ = {};
+};
+
+/**
+ * A counted reference to a OneShot shared by the parties of one race:
+ * the awaiting process, its timer and every round. The cell lives until
+ * the last reference goes, so a round that finishes after the race was
+ * decided still writes into a live cell (and loses). The count is plain
+ * (the kernel is single-threaded) and the cell's memory comes from the
+ * FramePool, so a race allocates nothing in steady state.
+ */
+template <typename T>
+class OneShotRef {
+  public:
+    /** A fresh, unset cell on @p sim with this one reference. */
+    static OneShotRef
+    make(Simulation& sim)
+    {
+        void* mem = FramePool::allocate(sizeof(Block));
+        return OneShotRef(::new (mem) Block{OneShot<T>(sim), 1});
+    }
+
+    OneShotRef(const OneShotRef& o) : b_(o.b_) { ++b_->refs; }
+    OneShotRef(OneShotRef&& o) noexcept : b_(std::exchange(o.b_, nullptr)) {}
+    OneShotRef& operator=(const OneShotRef&) = delete;
+    OneShotRef& operator=(OneShotRef&&) = delete;
+
+    ~OneShotRef()
+    {
+        if (b_ != nullptr && --b_->refs == 0) {
+            b_->~Block();
+            FramePool::deallocate(b_, sizeof(Block));
+        }
+    }
+
+    OneShot<T>* operator->() const { return &b_->cell; }
+
+  private:
+    struct Block {
+        OneShot<T> cell;
+        uint32_t refs;
+    };
+
+    explicit OneShotRef(Block* b) : b_(b) {}
+
+    Block* b_;
 };
 
 /**
@@ -126,7 +188,7 @@ race_timeout(Simulation& sim, SimTime timeout, OnTimeout on_timeout,
              Start start)
 {
     using T = std::invoke_result_t<OnTimeout&>;
-    auto cell = std::make_shared<OneShot<T>>(sim);
+    OneShotRef<T> cell = OneShotRef<T>::make(sim);
     Simulation::TimerId timer =
         sim.schedule_cancellable(timeout, [cell, on_timeout] {
             if (!cell->is_set()) {
@@ -134,9 +196,9 @@ race_timeout(Simulation& sim, SimTime timeout, OnTimeout on_timeout,
             }
         });
     start(cell);
-    T value = co_await cell->wait();
+    co_await cell->settled();
     sim.cancel(timer);  // a no-op when the timer itself won
-    co_return value;
+    co_return cell->take();
 }
 
 namespace detail {
@@ -144,7 +206,7 @@ namespace detail {
 /** Await @p round and deliver its value into @p cell. */
 template <typename T>
 Task<void>
-deliver(Task<T> round, std::shared_ptr<OneShot<T>> cell)
+deliver(Task<T> round, OneShotRef<T> cell)
 {
     T value = co_await std::move(round);
     cell->try_set(std::move(value));
@@ -160,7 +222,7 @@ race_timeout(Simulation& sim, SimTime timeout, OnTimeout on_timeout,
 {
     return race_timeout(
         sim, timeout, std::move(on_timeout),
-        [round = std::move(round)](std::shared_ptr<OneShot<T>> cell) mutable {
+        [round = std::move(round)](OneShotRef<T> cell) mutable {
             spawn(detail::deliver(std::move(round), std::move(cell)));
         });
 }

@@ -1,5 +1,7 @@
 #include "src/sim/simulation.h"
 
+#include "src/sim/frame_pool.h"
+
 namespace lfs::sim {
 
 namespace {
@@ -86,6 +88,9 @@ Simulation::~Simulation()
     for (const HeapEntry& entry : heap_) {
         dispose(entry.ev);
     }
+    // Frames freed during this run stay pooled only while runs go on;
+    // hand them back so a finished run's peak does not outlive it.
+    FramePool::trim();
 }
 
 Simulation::Event*

@@ -10,7 +10,9 @@
  * Ownership model: the Task object owns the coroutine frame. Awaiting a
  * Task (``co_await some_task()``) keeps the temporary alive for the full
  * await-expression, so frames are destroyed exactly once, after completion.
- * Detached processes are started with spawn().
+ * Detached processes are started with spawn(). Every frame comes from
+ * the size-class FramePool (frame_pool.h), not straight from the global
+ * allocator.
  */
 #pragma once
 
@@ -19,6 +21,8 @@
 #include <exception>
 #include <optional>
 #include <utility>
+
+#include "src/sim/frame_pool.h"
 
 namespace lfs::sim {
 
@@ -41,7 +45,22 @@ struct FinalAwaiter {
     void await_resume() const noexcept {}
 };
 
-struct TaskPromiseBase {
+/** Routes a coroutine's frame allocation through the FramePool. */
+struct PooledFrame {
+    static void*
+    operator new(std::size_t bytes)
+    {
+        return FramePool::allocate(bytes);
+    }
+
+    static void
+    operator delete(void* p, std::size_t bytes) noexcept
+    {
+        FramePool::deallocate(p, bytes);
+    }
+};
+
+struct TaskPromiseBase : PooledFrame {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
 
@@ -167,7 +186,7 @@ TaskPromise<void>::get_return_object()
  * own lifetime (it is destroyed automatically when it runs to completion).
  */
 struct Detached {
-    struct promise_type {
+    struct promise_type : detail::PooledFrame {
         Detached get_return_object() { return {}; }
         std::suspend_never initial_suspend() noexcept { return {}; }
         std::suspend_never final_suspend() noexcept { return {}; }

@@ -104,25 +104,7 @@ MetadataStore::shard_index(const std::string& parent_path) const
 size_t
 MetadataStore::shard_index_of_parent(std::string_view p) const
 {
-    // Hash "/comp" for every component but the last — byte-identical to
-    // fnv1a(path::parent(p)), including the bare "/" root-parent case.
-    uint64_t h = kFnv1aBasis;
-    std::string_view prev;
-    bool have_prev = false;
-    bool hashed = false;
-    for (std::string_view c : path::PathView(p)) {
-        if (have_prev) {
-            h = fnv1a_mix(h, "/");
-            h = fnv1a_mix(h, prev);
-            hashed = true;
-        }
-        prev = c;
-        have_prev = true;
-    }
-    if (!hashed) {
-        h = fnv1a_mix(h, "/");
-    }
-    return h % shards_.size();
+    return path::parent_hash(p) % shards_.size();
 }
 
 DataNode&
@@ -219,8 +201,35 @@ MetadataStore::charge_ns_faults(uint64_t faults_before,
     }
 }
 
+Status
+MetadataStore::admit(size_t shard_idx, const Op& op, sim::Span& txn_span)
+{
+    Status st = breaker_admit(shard_idx);
+    if (!st.ok()) {
+        txn_span.annotate("shed", "breaker_open");
+        return st;
+    }
+    if (op_expired(op, sim_.now())) {
+        rejected_expired_->add();
+        txn_span.annotate("shed", "expired");
+        return Status::deadline_exceeded("expired at store entry");
+    }
+    return st;
+}
+
+OpResult
+MetadataStore::shed_result(Status st, const sim::LatencyLedger& led)
+{
+    OpResult shed;
+    shed.status = std::move(st);
+    if (sim_.attribution()) {
+        shed.ledger = led;
+    }
+    return shed;
+}
+
 sim::Task<OpResult>
-MetadataStore::read_op(Op op)
+MetadataStore::read_op(const Op& op)
 {
     sim::Span txn_span =
         sim_.tracer().start_span("store", "read_txn", op.trace);
@@ -236,21 +245,8 @@ MetadataStore::read_op(Op op)
     // Admission checks before any lock or coherence work: a tripped
     // breaker or an already-expired deadline fails fast, paying only the
     // network round trip.
-    result.status = breaker_admit(shard_idx);
+    result.status = admit(shard_idx, op, txn_span);
     if (!result.status.ok()) {
-        txn_span.annotate("shed", "breaker_open");
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            result.ledger = led;
-        }
-        co_return result;
-    }
-    if (op_expired(op, sim_.now())) {
-        rejected_expired_->add();
-        txn_span.annotate("shed", "expired");
-        result.status = Status::deadline_exceeded("expired at store entry");
         t0 = sim_.now();
         co_await network_.transfer(net::LatencyClass::kStore);
         if (attr) {
@@ -322,104 +318,6 @@ MetadataStore::read_op(Op op)
         }
     }
     co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
-    t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kStore);
-    if (attr) {
-        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-        result.ledger = led;
-    }
-    co_return result;
-}
-
-sim::Task<OpResult>
-MetadataStore::write_op(Op op, LockedHook after_lock)
-{
-    sim::Span txn_span =
-        sim_.tracer().start_span("store", "write_txn", op.trace);
-    const bool attr = sim_.attribution();
-    sim::LatencyLedger led;
-    sim::SimTime t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kStore);
-    if (attr) {
-        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-    }
-    size_t shard_idx = shard_index_of_parent(op.path);
-    // Admission checks before waiting on subtree flags, acquiring row
-    // locks, or running the coherence round — doomed work sheds here.
-    Status admit = breaker_admit(shard_idx);
-    if (!admit.ok()) {
-        txn_span.annotate("shed", "breaker_open");
-        OpResult shed;
-        shed.status = admit;
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            shed.ledger = led;
-        }
-        co_return shed;
-    }
-    if (op_expired(op, sim_.now())) {
-        rejected_expired_->add();
-        txn_span.annotate("shed", "expired");
-        OpResult shed;
-        shed.status = Status::deadline_exceeded("expired at store entry");
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            shed.ledger = led;
-        }
-        co_return shed;
-    }
-    uint64_t faults_before = tree_.pageins();
-    sim::Span lock_span =
-        sim_.tracer().start_span("store", "lock_wait", txn_span.context());
-    sim::SimTime lock_start = sim_.now();
-    while (locks_.overlaps_active_subtree(op.path) ||
-           (has_dst_path(op.type) &&
-            locks_.overlaps_active_subtree(op.dst))) {
-        co_await sim::delay(sim_, config_.subtree_retry_delay);
-    }
-    std::vector<ns::INodeId> lock_ids = write_lock_set(op);
-    co_await locks_.lock_exclusive_ordered(lock_ids);
-    lock_span.end();
-    if (attr) {
-        led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
-    }
-    if (after_lock) {
-        // The coherence INV/ACK round is attributed here — around the
-        // hook await, never inside the coordinator — so it is stamped
-        // exactly once per write.
-        sim::SimTime coh_start = sim_.now();
-        co_await after_lock();
-        if (attr) {
-            led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
-        }
-    }
-    DataNode& shard = *shards_[shard_idx];
-    Status st = co_await shard.execute_write(
-        static_cast<int>(lock_ids.size()), op.deadline,
-        attr ? &led : nullptr);
-    breaker_record(shard_idx, st);
-    if (!st.ok()) {
-        locks_.unlock_exclusive_all(lock_ids);
-        txn_span.annotate("shed", code_name(st.code()));
-        OpResult shed;
-        shed.status = st;
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            shed.ledger = led;
-        }
-        co_return shed;
-    }
-    OpResult result = ns::apply_write(tree_, op, sim_.now());
-    // Faults are charged while the row locks are held: a sub-resident
-    // namespace pays its page-ins inside the transaction window.
-    co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
-    locks_.unlock_exclusive_all(lock_ids);
     t0 = sim_.now();
     co_await network_.transfer(net::LatencyClass::kStore);
     if (attr) {

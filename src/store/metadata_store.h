@@ -12,10 +12,13 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
+#include "src/namespace/apply.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/op.h"
 #include "src/net/network.h"
@@ -74,12 +77,8 @@ class MetadataStore {
     // ------------------------------------------------------------------
 
     /**
-     * Coroutine-producing hook awaited while a transaction's locks are
-     * held. λFS injects its coherence protocol's INV/ACK round here so no
-     * other NameNode can read-and-cache between invalidation and commit
-     * (§3.5: the leader "will have taken exclusive write-locks ... so it
-     * will be impossible for another NameNode to read and cache the
-     * metadata before it is updated").
+     * Coroutine-producing hook awaited while a subtree transaction's
+     * locks are held (write_op takes its hook as a template parameter).
      */
     using LockedHook = std::function<sim::Task<void>()>;
 
@@ -100,15 +99,23 @@ class MetadataStore {
      * shared row locks on the target and its parent. The result includes
      * the full resolved chain for caching.
      */
-    sim::Task<OpResult> read_op(Op op);
+    sim::Task<OpResult> read_op(const Op& op);
 
     /**
      * Execute a single-inode write (create/mkdir/delete/mv): acquires
-     * exclusive row locks in ascending-id order, awaits @p after_lock
-     * (if any) while holding them, runs one write transaction on the
-     * owning shard, applies the mutation, releases.
+     * exclusive row locks in ascending-id order, awaits @p after_lock()
+     * while holding them, runs one write transaction on the owning shard,
+     * applies the mutation, releases.
+     *
+     * @p after_lock returns a sim::Task<void>; pass none (nullptr) for a
+     * plain write. λFS injects its coherence protocol's INV/ACK round here
+     * so no other NameNode can read-and-cache between invalidation and
+     * commit (§3.5: the leader "will have taken exclusive write-locks ...
+     * so it will be impossible for another NameNode to read and cache
+     * the metadata before it is updated").
      */
-    sim::Task<OpResult> write_op(Op op, LockedHook after_lock = nullptr);
+    template <typename Hook = std::nullptr_t>
+    sim::Task<OpResult> write_op(const Op& op, Hook after_lock = nullptr);
 
     /**
      * Execute a subtree operation (recursive mv/delete) with the HopsFS
@@ -151,8 +158,8 @@ class MetadataStore {
 
     /**
      * shard_index(path::parent(path)) without materialising the parent
-     * string: the parent's components are folded into the FNV-1a hash
-     * directly. Op hot paths (read_op/write_op) pay zero allocations here.
+     * string (path::parent_hash). Op hot paths (read_op/write_op) pay
+     * zero allocations here.
      */
     size_t shard_index_of_parent(std::string_view path) const;
 
@@ -168,6 +175,16 @@ class MetadataStore {
 
     /** Report one shard transaction outcome to its breaker. */
     void breaker_record(size_t idx, const Status& st);
+
+    /**
+     * Admission of a transaction on @p op at shard @p shard_idx: a
+     * tripped breaker or an already-expired deadline refuses it before
+     * any lock or coherence work (annotated on @p txn_span).
+     */
+    Status admit(size_t shard_idx, const Op& op, sim::Span& txn_span);
+
+    /** A refused transaction's reply: @p st, plus @p led when attributing. */
+    OpResult shed_result(Status st, const sim::LatencyLedger& led);
 
     /** Ids that a write on @p op must lock (parent, target, dst parent). */
     std::vector<ns::INodeId> write_lock_set(const Op& op) const;
@@ -195,5 +212,81 @@ class MetadataStore {
     sim::Counter* rejected_expired_ = nullptr;
     sim::Counter* rejected_breaker_ = nullptr;
 };
+
+template <typename Hook>
+sim::Task<OpResult>
+MetadataStore::write_op(const Op& op, Hook after_lock)
+{
+    sim::Span txn_span =
+        sim_.tracer().start_span("store", "write_txn", op.trace);
+    const bool attr = sim_.attribution();
+    sim::LatencyLedger led;
+    sim::SimTime t0 = sim_.now();
+    co_await network_.transfer(net::LatencyClass::kStore);
+    if (attr) {
+        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
+    }
+    size_t shard_idx = shard_index_of_parent(op.path);
+    // Admission checks before waiting on subtree flags, acquiring row
+    // locks, or running the coherence round — doomed work sheds here.
+    Status st = admit(shard_idx, op, txn_span);
+    uint64_t faults_before = tree_.pageins();
+    std::vector<ns::INodeId> lock_ids;
+    if (st.ok()) {
+        sim::Span lock_span = sim_.tracer().start_span(
+            "store", "lock_wait", txn_span.context());
+        sim::SimTime lock_start = sim_.now();
+        while (locks_.overlaps_active_subtree(op.path) ||
+               (has_dst_path(op.type) &&
+                locks_.overlaps_active_subtree(op.dst))) {
+            co_await sim::delay(sim_, config_.subtree_retry_delay);
+        }
+        lock_ids = write_lock_set(op);
+        co_await locks_.lock_exclusive_ordered(lock_ids);
+        lock_span.end();
+        if (attr) {
+            led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
+        }
+        if constexpr (!std::is_same_v<Hook, std::nullptr_t>) {
+            // The coherence INV/ACK round is attributed here — around the
+            // hook await, never inside the coordinator — so it is stamped
+            // exactly once per write.
+            sim::SimTime coh_start = sim_.now();
+            co_await after_lock();
+            if (attr) {
+                led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
+            }
+        }
+        st = co_await shards_[shard_idx]->execute_write(
+            static_cast<int>(lock_ids.size()), op.deadline,
+            attr ? &led : nullptr);
+        breaker_record(shard_idx, st);
+        if (!st.ok()) {
+            locks_.unlock_exclusive_all(lock_ids);
+            txn_span.annotate("shed", code_name(st.code()));
+        }
+    }
+    if (!st.ok()) {
+        // Refused or shed: only the reply hop remains.
+        t0 = sim_.now();
+        co_await network_.transfer(net::LatencyClass::kStore);
+        if (attr) {
+            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
+        }
+        co_return shed_result(std::move(st), led);
+    }
+    OpResult result = ns::apply_write(tree_, op, sim_.now());
+    // Faults are charged while the row locks are held: a sub-resident
+    // namespace pays its page-ins inside the transaction window.
+    co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
+    locks_.unlock_exclusive_all(lock_ids);
+    t0 = sim_.now();
+    co_await network_.transfer(net::LatencyClass::kStore);
+    if (attr) {
+        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
+        result.ledger = led;
+    }
+    co_return result;
+}
 
 }  // namespace lfs::store

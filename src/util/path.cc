@@ -1,5 +1,7 @@
 #include "src/util/path.h"
 
+#include "src/util/hash.h"
+
 namespace lfs::path {
 
 bool
@@ -60,6 +62,30 @@ parent(std::string_view p)
         out = "/";
     }
     return out;
+}
+
+uint64_t
+parent_hash(std::string_view p)
+{
+    // Hash "/comp" for every component but the last — the bytes parent()
+    // would build — or the bare "/" when that leaves nothing.
+    uint64_t h = kFnv1aBasis;
+    std::string_view prev;
+    bool have_prev = false;
+    bool hashed = false;
+    for (std::string_view c : PathView(p)) {
+        if (have_prev) {
+            h = fnv1a_mix(h, "/");
+            h = fnv1a_mix(h, prev);
+            hashed = true;
+        }
+        prev = c;
+        have_prev = true;
+    }
+    if (!hashed) {
+        h = fnv1a_mix(h, "/");
+    }
+    return h;
 }
 
 std::string_view

@@ -13,6 +13,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <iterator>
 #include <string>
 #include <string_view>
@@ -104,6 +105,14 @@ std::vector<std::string> split(std::string_view p);
 
 /** Parent directory ("/a/b" -> "/a"; "/a" -> "/"; "/" -> "/"). */
 std::string parent(std::string_view p);
+
+/**
+ * fnv1a(parent(p)) without building the parent string: the parent's
+ * normalized spelling ("/" + each component but the last) is folded into
+ * the hash component by component. Byte-identical to hashing parent(p),
+ * so it can stand in wherever a parent path is a hash key. Allocation-free.
+ */
+uint64_t parent_hash(std::string_view p);
 
 /**
  * parent without the string copy; views a prefix of @p p (or the static

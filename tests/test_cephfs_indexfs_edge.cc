@@ -190,6 +190,50 @@ TEST(IndexFsEdge, DeleteIsVisibleThroughLeaselessReads)
               Code::kNotFound);
 }
 
+TEST(IndexFsEdge, ClientsOwnWritesDropItsLeases)
+{
+    Simulation sim;
+    indexfs::IndexFsConfig config;
+    config.num_servers = 2;  // default 1 s leases
+    config.num_client_vms = 1;
+    config.clients_per_vm = 2;
+    indexfs::IndexFs fs(sim, config);
+    fs.preload("/tt/f", ns::INodeType::kFile);
+    fs.preload("/tt/g", ns::INodeType::kFile);
+    sim.run_until(sim::sec(1));
+
+    // A client never serves its own deleted row from its lease.
+    ASSERT_TRUE(
+        run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/f")).status.ok());
+    ASSERT_TRUE(run_one(sim, fs, 0, make_op(OpType::kDeleteFile, "/tt/f"))
+                    .status.ok());
+    OpResult after_delete =
+        run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/f"));
+    EXPECT_EQ(after_delete.status.code(), Code::kNotFound);
+    EXPECT_FALSE(after_delete.cache_hit);
+
+    // A hard link drops the leases of both names it changes: the
+    // linked file's (its link count moves) and the new name's, which
+    // this client last saw as another file that client 1 deleted since.
+    fs.preload("/tt/h", ns::INodeType::kFile);
+    OpResult g = run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/g"));
+    ASSERT_TRUE(g.status.ok());
+    ASSERT_TRUE(
+        run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/h")).status.ok());
+    ASSERT_TRUE(run_one(sim, fs, 1, make_op(OpType::kDeleteFile, "/tt/h"))
+                    .status.ok());
+    ASSERT_TRUE(run_one(sim, fs, 0,
+                        make_op(OpType::kHardLink, "/tt/g", "/tt/h"))
+                    .status.ok());
+    OpResult linked = run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/h"));
+    ASSERT_TRUE(linked.status.ok());
+    EXPECT_FALSE(linked.cache_hit);
+    EXPECT_EQ(linked.inode.id, g.inode.id);
+    OpResult source = run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/g"));
+    ASSERT_TRUE(source.status.ok());
+    EXPECT_FALSE(source.cache_hit);
+}
+
 TEST(IndexFsEdge, CloseByIdFindsTheSessionOnAnyServer)
 {
     Simulation sim;

@@ -28,10 +28,10 @@ class FakeMember : public coord::CacheMember {
     bool member_alive() const override { return alive; }
 
     Task<void>
-    deliver_invalidation(std::string path, bool subtree) override
+    deliver_invalidation(const std::string& path, bool subtree) override
     {
         co_await sim::delay(sim_, sim::usec(50));
-        received.emplace_back(std::move(path), subtree);
+        received.emplace_back(path, subtree);
     }
 
     bool alive = true;

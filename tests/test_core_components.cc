@@ -8,12 +8,17 @@
 
 #include <map>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "src/core/partitioning.h"
 #include "src/core/tcp_registry.h"
 #include "src/faas/function_instance.h"
 #include "src/namespace/op.h"
 #include "src/sim/simulation.h"
+#include "src/util/hash.h"
+#include "src/util/path.h"
 
 namespace lfs::core {
 namespace {
@@ -55,6 +60,41 @@ TEST(Partitioner, DirectoriesSpreadAcrossDeployments)
     EXPECT_EQ(load.size(), 8u);  // every deployment owns something
     for (const auto& [deployment, count] : load) {
         EXPECT_GT(count, 4000 / 8 / 4) << deployment;  // no starved member
+    }
+}
+
+TEST(Partitioner, ParentHashMatchesHashOfParentOnUnnormalizedPaths)
+{
+    // Random paths with the spellings path::parent normalizes away:
+    // doubled and trailing slashes, the root, relative and deep paths.
+    // deployment_for hashes the parent without building it; it must land
+    // exactly where the ring puts the built parent string.
+    std::mt19937_64 rng(17);
+    const char* names[] = {"a", "bb", "dir", "x_y", "long_component_name"};
+    std::vector<std::string> paths = {"", "/", "//", "///", "a", "a/",
+                                      "/a", "/a/", "//a//", "/a//b/c",
+                                      "/a/b/c/", "a//b"};
+    for (int i = 0; i < 2000; ++i) {
+        std::string p = rng() % 8 == 0 ? "" : "/";
+        const int depth = static_cast<int>(rng() % 12);
+        for (int d = 0; d < depth; ++d) {
+            p += names[rng() % 5];
+            p.append(1 + rng() % 3 / 2 + rng() % 5 / 4, '/');
+        }
+        if (rng() % 2 == 0 && p.size() > 1) {
+            p.pop_back();
+        }
+        paths.push_back(p);
+    }
+    NamespacePartitioner partitioner(7);
+    ConsistentHashRing ring(64);
+    for (int d = 0; d < 7; ++d) {
+        ring.add_member(d);
+    }
+    for (const std::string& p : paths) {
+        EXPECT_EQ(path::parent_hash(p), fnv1a(path::parent(p))) << p;
+        EXPECT_EQ(partitioner.deployment_for(p), ring.lookup(path::parent(p)))
+            << p;
     }
 }
 

@@ -264,6 +264,44 @@ TEST(OneShot, TimeoutRaceResolvedByTrySet)
     EXPECT_EQ(got, -1);
 }
 
+/** A round that answers only after @p after; records its late write. */
+Task<void>
+co_late_round(Simulation& sim, OneShotRef<int> cell, SimTime after,
+              bool& won, int& seen)
+{
+    co_await delay(sim, after);
+    won = cell->try_set(42);
+    seen = cell->take();  // the cell is still alive and holds the timeout
+}
+
+Task<void>
+co_race(Simulation& sim, bool& won, int& seen, int& got)
+{
+    got = co_await race_timeout(
+        sim, msec(10), [] { return -1; },
+        [&sim, &won, &seen](OneShotRef<int> cell) {
+            spawn(co_late_round(sim, std::move(cell), msec(20), won, seen));
+        });
+}
+
+TEST(RaceTimeout, LateRoundWritesIntoALiveCellAfterTheTimerWon)
+{
+    Simulation sim;
+    bool won = true;
+    int seen = 0;
+    int got = 0;
+    spawn(co_race(sim, won, seen, got));
+    sim.run_until(msec(15));
+    EXPECT_EQ(got, -1);  // the timer won and the race has returned
+    EXPECT_EQ(seen, 0);  // the round is still in flight
+    sim.run();
+    // The round's write lands in the cell it shares with the finished
+    // race: it loses, and the cell (which the race no longer holds) is
+    // intact — a sanitizer build checks that no freed memory is touched.
+    EXPECT_FALSE(won);
+    EXPECT_EQ(seen, -1);
+}
+
 Task<void>
 co_wait_gate(Gate& gate, int& released)
 {
