@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -159,65 +160,83 @@ BM_CachePutChain(benchmark::State& state)
 }
 BENCHMARK(BM_CachePutChain);
 
-void
-BM_CacheGetManyCaches(benchmark::State& state)
-{
-    // The run's footprint rather than one L1-hot trie: the bench tree
-    // (build_bench_tree's shape) partitioned over 16 deployments the way
-    // λFS homes paths, with 81 NameNode caches — each an instance of
-    // deployment c % 16 holding its deployment's share as resolved
-    // chains. Gets walk a shuffled stream of every path, each served by
-    // one instance of the path's home deployment.
-    constexpr int kDeployments = 16;
-    constexpr int kCaches = 81;
-    ns::NamespaceTree tree;
-    ns::TreeSpec spec;
-    spec.root = "/bench";
-    spec.depth = 4;
-    spec.fanout = 8;
-    spec.files_per_dir = 2;
-    ns::BuiltTree built =
-        ns::build_balanced_tree(tree, spec, ns::UserContext{}, 0);
-    std::vector<std::string> paths = built.files;
-    paths.insert(paths.end(), built.dirs.begin(), built.dirs.end());
-    core::NamespacePartitioner partitioner(kDeployments);
+/**
+ * The run's footprint rather than one L1-hot trie: the bench tree
+ * (build_bench_tree's shape) partitioned over 16 deployments the way λFS
+ * homes paths, with 81 NameNode caches — each an instance of deployment
+ * c % 16 holding its deployment's share as resolved chains.
+ */
+struct ManyCaches {
+    static constexpr int kDeployments = 16;
+    static constexpr int kCaches = 81;
+
+    ns::BuiltTree built;
+    std::vector<std::string> paths;  ///< every file, then every dir
+    core::NamespacePartitioner partitioner{kDeployments};
     std::vector<std::unique_ptr<cache::MetadataCache>> caches;
-    for (int c = 0; c < kCaches; ++c) {
-        caches.push_back(std::make_unique<cache::MetadataCache>());
+
+    ManyCaches()
+    {
+        ns::NamespaceTree tree;
+        ns::TreeSpec spec;
+        spec.root = "/bench";
+        spec.depth = 4;
+        spec.fanout = 8;
+        spec.files_per_dir = 2;
+        built = ns::build_balanced_tree(tree, spec, ns::UserContext{}, 0);
+        paths = built.files;
+        paths.insert(paths.end(), built.dirs.begin(), built.dirs.end());
+        for (int c = 0; c < kCaches; ++c) {
+            caches.push_back(std::make_unique<cache::MetadataCache>());
+        }
+        int id = 0;
+        for (const std::string& p : paths) {
+            std::vector<ns::INode> chain;
+            ns::INode root;
+            root.id = ns::kRootId;
+            root.type = ns::INodeType::kDirectory;
+            chain.push_back(root);
+            for (std::string_view comp : path::PathView(p)) {
+                ns::INode inode = make_inode(++id);
+                inode.name = std::string(comp);
+                chain.push_back(std::move(inode));
+            }
+            const int home = partitioner.deployment_for(p);
+            for (int c = home; c < kCaches; c += kDeployments) {
+                caches[static_cast<size_t>(c)]->put_chain(chain);
+            }
+        }
     }
-    auto instance_of = [&](int deployment, size_t k) {
-        // Instances of deployment d are caches d, d + 16, d + 32, ...
+
+    /** Instance @p k (mod the count) of @p deployment: caches d, d + 16,
+        d + 32, ... */
+    cache::MetadataCache*
+    instance_of(int deployment, size_t k)
+    {
         const size_t count = static_cast<size_t>(
             (kCaches - deployment + kDeployments - 1) / kDeployments);
         return caches[static_cast<size_t>(deployment) +
                       (k % count) * kDeployments]
             .get();
-    };
-    int id = 0;
-    for (const std::string& p : paths) {
-        std::vector<ns::INode> chain;
-        ns::INode root;
-        root.id = ns::kRootId;
-        root.type = ns::INodeType::kDirectory;
-        chain.push_back(root);
-        for (std::string_view comp : path::PathView(p)) {
-            ns::INode inode = make_inode(++id);
-            inode.name = std::string(comp);
-            chain.push_back(std::move(inode));
-        }
-        const int home = partitioner.deployment_for(p);
-        for (int c = home; c < kCaches; c += kDeployments) {
-            caches[static_cast<size_t>(c)]->put_chain(chain);
-        }
     }
+};
+
+void
+BM_CacheGetManyCaches(benchmark::State& state)
+{
+    // Gets walk a shuffled stream of every path, each served by one
+    // instance of the path's home deployment.
+    ManyCaches layout;
     struct Probe {
         cache::MetadataCache* cache;
         const std::string* path;
     };
     std::vector<Probe> probes;
-    for (size_t i = 0; i < paths.size(); ++i) {
+    for (size_t i = 0; i < layout.paths.size(); ++i) {
         probes.push_back(
-            {instance_of(partitioner.deployment_for(paths[i]), i), &paths[i]});
+            {layout.instance_of(
+                 layout.partitioner.deployment_for(layout.paths[i]), i),
+             &layout.paths[i]});
     }
     sim::Rng(42).shuffle(probes);
     size_t i = 0;
@@ -228,6 +247,54 @@ BM_CacheGetManyCaches(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CacheGetManyCaches);
+
+void
+BM_CacheInvalidateManyCaches(benchmark::State& state)
+{
+    // A create's INV deliveries over the same layout: each reaches one
+    // instance of the path's home deployment. Arg 0 names a new file next
+    // to each bench file — cached nowhere, like ~99% of the INVs a create
+    // sends. Arg 1 names each file's parent directory, cached at the
+    // instance, and reinstalls it after the drop so the working set
+    // holds still (that case times an invalidate plus a put).
+    ManyCaches layout;
+    const bool present = state.range(0) == 1;
+    struct Probe {
+        cache::MetadataCache* cache;
+        std::string path;
+        ns::INode inode;
+    };
+    std::vector<Probe> probes;
+    for (size_t i = 0; i < layout.built.files.size(); ++i) {
+        const std::string& file = layout.built.files[i];
+        std::string p = present ? path::parent(file)
+                                : file + "-new" + std::to_string(i);
+        cache::MetadataCache* cache =
+            layout.instance_of(layout.partitioner.deployment_for(p), i);
+        ns::INode inode = make_inode(static_cast<int>(i));
+        inode.name = path::basename(p);
+        if (present) {
+            std::optional<ns::INode> cached = cache->get(p);
+            if (!cached.has_value()) {
+                continue;  // another instance of the home holds it
+            }
+            inode = *cached;
+        }
+        probes.push_back({cache, std::move(p), std::move(inode)});
+    }
+    sim::Rng(42).shuffle(probes);
+    size_t i = 0;
+    for (auto _ : state) {
+        const Probe& probe = probes[i % probes.size()];
+        probe.cache->invalidate(probe.path);
+        if (present) {
+            probe.cache->put(probe.path, probe.inode);
+        }
+        ++i;
+    }
+    state.SetLabel(present ? "parent dir, reinstalled" : "absent new file");
+}
+BENCHMARK(BM_CacheInvalidateManyCaches)->Arg(0)->Arg(1);
 
 void
 BM_CachePrefixInvalidate(benchmark::State& state)

@@ -11,8 +11,8 @@
 #      the gate is tuned to catch the >20% regression class, e.g.
 #      reintroducing a per-event heap allocation.
 #   2. bench_micro_structures cache-walk and namespace cases (hit/miss/
-#      deep/many-caches/put_chain/prefix-invalidate, resolve_ids/
-#      lookup_child/create):
+#      deep/many-caches get and invalidate/put_chain/prefix-invalidate,
+#      resolve_ids/lookup_child/create):
 #      per-op nanoseconds must stay below the checked-in ceilings — the
 #      gate for the zero-allocation metadata-cache walk (DESIGN.md
 #      par.14) and the slab-resident namespace hot paths (par.15).

@@ -11,23 +11,32 @@ namespace lfs::cache {
 
 namespace {
 
-/** Edge-table key of component hash @p h under arena index @p parent:
-    the parent in the high half, the folded hash in the low half. Equal
-    keys thus imply equal parents, so a probe verifies the spelling only.
-    ChildTable finalizes keys before placement. */
-uint64_t
-edge_key(uint32_t parent, uint64_t h)
-{
-    return (static_cast<uint64_t>(parent) << 32) |
-           static_cast<uint32_t>(h ^ (h >> 32));
-}
-
 /** Heap bytes behind @p s (0 while it fits the small-string buffer). */
 size_t
 heap_bytes(const std::string& s)
 {
     static const size_t kInline = std::string().capacity();
     return s.capacity() > kInline ? s.capacity() + 1 : 0;
+}
+
+/**
+ * Set @p out to "@p dir/@p comp" (@p dir empty for the root). A string
+ * that must grow is rebuilt at exactly the needed capacity: growing in
+ * place would double it, and every cached node holds one.
+ */
+void
+set_child_path(std::string& out, std::string_view dir, std::string_view comp)
+{
+    const size_t len = dir.size() + 1 + comp.size();
+    if (out.capacity() < len) {
+        out = std::string(len, '/');
+    } else {
+        out.resize(len);
+    }
+    char* p = out.data();
+    std::copy(dir.begin(), dir.end(), p);
+    p[dir.size()] = '/';
+    std::copy(comp.begin(), comp.end(), p + dir.size() + 1);
 }
 
 }  // namespace
@@ -40,27 +49,27 @@ MetadataCache::MetadataCache(CacheConfig config) : config_(config)
 MetadataCache::~MetadataCache() = default;
 
 uint32_t
-MetadataCache::find(std::string_view p) const
+MetadataCache::find(std::string_view p, uint64_t key) const
 {
-    uint32_t cur = kRoot;
-    for (std::string_view comp : path::PathView(p)) {
-        const uint32_t next =
-            edges_.find(edge_key(cur, fnv1a(comp)),
-                        [&](uint32_t i) { return nodes_[i].name == comp; });
-        if (next == kRoot) {  // the empty-slot sentinel: no such child
-            return kNil;
-        }
-        cur = next;
+    if (key == path::kRootKey && path::is_root(p)) {
+        return kRoot;
     }
-    return cur;
+    // One probe; the exact check compares the stored normalized path,
+    // bytes first (the probed spelling is normally normalized already).
+    const uint32_t hit = edges_.find(key, [&](uint32_t i) {
+        const std::string& stored = nodes_[i].path;
+        return stored == p || path::same(stored, p);
+    });
+    return hit == kRoot ? kNil : hit;  // kRoot is the empty-slot sentinel
 }
 
 uint32_t
-MetadataCache::child_or_create(uint32_t parent, std::string_view comp)
+MetadataCache::child_or_create(uint32_t parent, std::string_view comp,
+                               uint64_t key)
 {
-    const uint64_t key = edge_key(parent, fnv1a(comp));
-    const uint32_t hit =
-        edges_.find(key, [&](uint32_t i) { return nodes_[i].name == comp; });
+    const uint32_t hit = edges_.find(key, [&](uint32_t i) {
+        return nodes_[i].parent == parent && nodes_[i].name() == comp;
+    });
     if (hit != kRoot) {
         return hit;
     }
@@ -75,16 +84,27 @@ MetadataCache::child_or_create(uint32_t parent, std::string_view comp)
     Node& up = nodes_[parent];
     node.parent = parent;
     node.first_child = kNil;
-    node.name.assign(comp);
+    const size_t dir_len = parent == kRoot ? 0 : up.path.size();
+    set_child_path(node.path, std::string_view(up.path).substr(0, dir_len),
+                   comp);
+    node.name_off = static_cast<uint32_t>(dir_len + 1);
     node.prev_sibling = kNil;
     node.next_sibling = up.first_child;
     if (up.first_child != kNil) {
         nodes_[up.first_child].prev_sibling = idx;
     }
     up.first_child = idx;
-    node.edge_key = key;
+    node.key = key;
     edges_.insert(key, idx);
     return idx;
+}
+
+uint32_t
+MetadataCache::child_or_create(uint32_t parent, std::string_view comp)
+{
+    return child_or_create(
+        parent, comp,
+        path::child_key(nodes_[parent].key, parent == kRoot, comp));
 }
 
 uint32_t
@@ -100,12 +120,12 @@ MetadataCache::find_or_create(std::string_view p)
 void
 MetadataCache::release_node(uint32_t idx)
 {
-    // Only valueless leaves are released; the spelling keeps its
-    // capacity for the slot's next tenant.
+    // Only valueless leaves are released; the path keeps its capacity
+    // for the slot's next tenant.
     Node& node = nodes_[idx];
     assert(idx != kRoot && !node.value.has_value() &&
            node.first_child == kNil);
-    edges_.erase(node.edge_key, idx);
+    edges_.erase(node.key, idx);
     if (node.prev_sibling != kNil) {
         nodes_[node.prev_sibling].next_sibling = node.next_sibling;
     } else {
@@ -163,7 +183,7 @@ MetadataCache::set_value(uint32_t idx, const ns::INode& inode)
         ++entries_;
     }
     node.value = inode;
-    node.value_bytes = inode.metadata_bytes();
+    node.value_bytes = static_cast<uint32_t>(inode.metadata_bytes());
     bytes_ += node.value_bytes;
     lru_push_front(idx);
 }
@@ -211,6 +231,13 @@ MetadataCache::evict_until_within_budget()
 void
 MetadataCache::put(std::string_view p, const ns::INode& inode)
 {
+    put(p, path::keys(p), inode);
+}
+
+void
+MetadataCache::put(std::string_view p, const path::PathKeys& keys,
+                   const ns::INode& inode)
+{
     if (config_.capacity_bytes == 0) {
         return;
     }
@@ -221,7 +248,16 @@ MetadataCache::put(std::string_view p, const ns::INode& inode)
     if (inode.nlink > 1) {
         return;
     }
-    set_value(find_or_create(p), inode);
+    // Refreshing a cached path takes one probe, and a new entry under a
+    // cached directory one more; deeper gaps descend from the root.
+    uint32_t idx = find(p, keys.self);
+    if (idx == kNil) {
+        const uint32_t dir = find(path::parent_view(p), keys.parent);
+        idx = dir != kNil
+                  ? child_or_create(dir, path::basename_view(p), keys.self)
+                  : find_or_create(p);
+    }
+    set_value(idx, inode);
     evict_until_within_budget();
 }
 
@@ -246,10 +282,59 @@ MetadataCache::put_chain(const std::vector<ns::INode>& chain)
     evict_until_within_budget();
 }
 
+void
+MetadataCache::step(ChainWalk& walk, const ns::INode& inode)
+{
+    if (inode.id == ns::kRootId) {
+        return;  // the root entry names "/" itself
+    }
+    walk.parent_key = walk.key;
+    walk.key = path::child_key(walk.key, walk.depth == 0, inode.name);
+    ++walk.depth;
+    walk.node = child_or_create(walk.node, inode.name, walk.key);
+}
+
+void
+MetadataCache::install_guarded(ChainWalk& walk,
+                               const std::vector<ns::INode>& chain,
+                               const ns::INode& inode, ReadToken token)
+{
+    if (invalidated_since(nodes_[walk.node].path, walk.key, walk.depth,
+                          token)) {
+        guard_rejections_.add();
+        return;
+    }
+    if (config_.capacity_bytes == 0 || inode.nlink > 1) {
+        return;  // see put()
+    }
+    set_value(walk.node, inode);
+    evict_until_within_budget();
+    if (walk.node != kRoot && nodes_[walk.node].parent == kNil) {
+        // The entry alone outgrew the budget: eviction dropped it and
+        // pruned its valueless ancestors. Rebuild the path for the
+        // entries below it.
+        walk.node = kRoot;
+        for (const ns::INode& up : chain) {
+            if (up.id != ns::kRootId) {
+                walk.node = child_or_create(walk.node, up.name);
+            }
+            if (&up == &inode) {
+                break;
+            }
+        }
+    }
+}
+
 std::optional<ns::INode>
 MetadataCache::get(std::string_view p)
 {
-    const uint32_t idx = find(p);
+    return get(p, path::keys(p).self);
+}
+
+std::optional<ns::INode>
+MetadataCache::get(std::string_view p, uint64_t key)
+{
+    const uint32_t idx = find(p, key);
     if (idx == kNil || !nodes_[idx].value.has_value()) {
         misses_.add();
         return std::nullopt;
@@ -265,17 +350,29 @@ MetadataCache::get(std::string_view p)
 bool
 MetadataCache::contains(std::string_view p) const
 {
-    const uint32_t idx = find(p);
+    return contains(p, path::keys(p).self);
+}
+
+bool
+MetadataCache::contains(std::string_view p, uint64_t key) const
+{
+    const uint32_t idx = find(p, key);
     return idx != kNil && nodes_[idx].value.has_value();
 }
 
 void
 MetadataCache::invalidate(std::string_view p)
 {
+    invalidate(p, path::keys(p).self);
+}
+
+void
+MetadataCache::invalidate(std::string_view p, uint64_t key)
+{
     // Log even when nothing is cached at p: an in-flight read may be
     // about to install exactly this path, and the invalidation must win.
-    log_invalidation(p, /*prefix=*/false);
-    const uint32_t idx = find(p);
+    log_invalidation(p, key, /*prefix=*/false);
+    const uint32_t idx = find(p, key);
     if (idx == kNil) {
         return;
     }
@@ -313,8 +410,14 @@ MetadataCache::drop_subtree(uint32_t top)
 int64_t
 MetadataCache::invalidate_prefix(std::string_view prefix)
 {
-    log_invalidation(prefix, /*prefix=*/true);
-    const uint32_t idx = find(prefix);
+    return invalidate_prefix(prefix, path::keys(prefix).self);
+}
+
+int64_t
+MetadataCache::invalidate_prefix(std::string_view prefix, uint64_t key)
+{
+    log_invalidation(prefix, key, /*prefix=*/true);
+    const uint32_t idx = find(prefix, key);
     if (idx == kNil) {
         return 0;
     }
@@ -326,7 +429,7 @@ MetadataCache::invalidate_prefix(std::string_view prefix)
 void
 MetadataCache::clear()
 {
-    invalidate_prefix("/");
+    invalidate_prefix("/", path::kRootKey);
 }
 
 size_t
@@ -337,7 +440,7 @@ MetadataCache::resident_bytes() const
                    active_reads_.capacity() * sizeof(ReadSnapshot) +
                    inv_log_.slots().size() * sizeof(InvLogEntry);
     for (const Node& node : nodes_) {
-        total += heap_bytes(node.name);
+        total += heap_bytes(node.path);
     }
     for (const InvLogEntry& entry : inv_log_.slots()) {
         total += heap_bytes(entry.path);
@@ -387,15 +490,17 @@ void
 MetadataCache::put_guarded(std::string_view p, const ns::INode& inode,
                            ReadToken token)
 {
-    if (invalidated_since(p, token)) {
+    const path::PathKeys k = path::keys(p);
+    if (invalidated_since(p, k.self, k.depth, token)) {
         guard_rejections_.add();
         return;
     }
-    put(p, inode);
+    put(p, k, inode);
 }
 
 void
-MetadataCache::log_invalidation(std::string_view p, bool prefix)
+MetadataCache::log_invalidation(std::string_view p, uint64_t key,
+                                bool prefix)
 {
     ++inv_seq_;
     if (active_reads_.empty()) {
@@ -403,33 +508,30 @@ MetadataCache::log_invalidation(std::string_view p, bool prefix)
     }
     // The invalidated path may never have been cached, yet a racing
     // install of exactly that path must still match, so the log keeps its
-    // bytes. assign() reuses the recycled slot's capacity.
+    // key and bytes. assign() reuses the recycled slot's capacity.
     InvLogEntry& entry = inv_log_.push_back();
     entry.seq = inv_seq_;
+    entry.key = key;
     entry.path.assign(p);
     entry.depth = path::depth(p);
     entry.prefix = prefix;
 }
 
 bool
-MetadataCache::invalidated_since(std::string_view p, ReadToken token) const
+MetadataCache::invalidated_since(std::string_view p, uint64_t key, int depth,
+                                 ReadToken token) const
 {
-    // Component-wise matching (allocation-free; the log is consulted per
-    // install): a point entry matches p iff they are equal, a prefix
-    // entry iff p is at or under it.
-    int depth = -1;
+    // Allocation-free (the log is consulted per install): a point entry
+    // matches p iff their keys and then their components are equal, a
+    // prefix entry iff p is at or under it, component-wise.
     for (size_t i = 0; i < inv_log_.size(); ++i) {
         const InvLogEntry& entry = inv_log_[i];
-        if (entry.seq <= token || !path::is_under(p, entry.path)) {
+        if (entry.seq <= token) {
             continue;
         }
-        if (entry.prefix) {
-            return true;
-        }
-        if (depth < 0) {
-            depth = path::depth(p);
-        }
-        if (depth == entry.depth) {
+        if (entry.prefix ? entry.depth <= depth &&
+                               path::is_under(p, entry.path)
+                         : entry.key == key && path::same(entry.path, p)) {
             return true;
         }
     }

@@ -11,18 +11,23 @@
  *
  * Hot-path layout (DESIGN.md §14): trie nodes live in one per-cache arena
  * (a vector indexed by uint32_t), linked to their parent, first child,
- * siblings and LRU neighbours by index, with the component spelling and
- * the cached value inline. Children are found through one open-addressing
- * edge table per cache keyed by (parent index, component hash), so a walk
- * hashes each component's bytes once and, per level, touches one edge
- * slot and one node. get/contains/invalidate walk via path::PathView and
- * construct no temporary std::string — a steady-state get performs zero
- * heap allocations. Freed nodes go on a free list and are reused.
+ * siblings and LRU neighbours by index, with the node's whole normalized
+ * path and the cached value inline. Nodes are found through one
+ * open-addressing edge table per cache keyed by the FNV-1a hash of that
+ * whole path (path::PathKeys::self, the family the partitioner routes
+ * on), so a lookup hashes the probed path once — or not at all, when the
+ * caller passes the key it already holds — and makes one probe plus one
+ * exact compare against the stored path. Unnormalized spellings hash and
+ * compare equal to their normalized form. Installs descend level by
+ * level, extending the parent's key by one component. Lookups construct
+ * no temporary std::string — a steady-state get performs zero heap
+ * allocations. Freed nodes go on a free list and are reused.
  *
- * The in-flight read-guard log keeps each invalidated path's raw bytes in
- * a ring whose slot strings keep their capacity, and matches installs
- * component-wise with path::is_under: nothing is interned for paths the
- * cache never held, and logging is allocation-free once the ring is warm.
+ * The in-flight read-guard log keeps each invalidated path's key and raw
+ * bytes in a ring whose slot strings keep their capacity; installs match
+ * point entries by key before bytes, and prefix entries component-wise
+ * with path::is_under. Nothing is interned for paths the cache never
+ * held, and logging is allocation-free once the ring is warm.
  */
 #pragma once
 
@@ -34,6 +39,7 @@
 
 #include "src/namespace/inode.h"
 #include "src/sim/stats.h"
+#include "src/util/path.h"
 #include "src/util/name_table.h"
 
 namespace lfs::cache {
@@ -90,14 +96,43 @@ class MetadataCache {
      */
     void put_chain(const std::vector<ns::INode>& chain);
 
+    /**
+     * put_guarded() of each chain entry for which @p owns(parent_key)
+     * holds, in chain order, in one descent: parent_key is the whole-path
+     * key of the entry's parent directory (path::PathKeys::parent), so a
+     * partition filter needs no path of its own. Same installs, guard
+     * rejections and evictions as put_guarded() on each owned entry's
+     * joined path.
+     */
+    template <class Owns>
+    void
+    put_chain_guarded(const std::vector<ns::INode>& chain, ReadToken token,
+                      Owns&& owns)
+    {
+        ChainWalk walk;
+        for (const ns::INode& inode : chain) {
+            step(walk, inode);
+            if (owns(walk.parent_key)) {
+                install_guarded(walk, chain, inode, token);
+            }
+        }
+        prune(walk.node);  // the descent's uninstalled tail
+    }
+
     /** Look up @p path; refreshes LRU position and hit/miss statistics. */
     std::optional<ns::INode> get(std::string_view path);
 
+    /** get() of @p path whose whole-path key (path::keys(path).self) the
+        caller already holds. */
+    std::optional<ns::INode> get(std::string_view path, uint64_t key);
+
     /** Presence probe without stats/LRU side effects. */
     bool contains(std::string_view path) const;
+    bool contains(std::string_view path, uint64_t key) const;
 
     /** Drop the entry at @p path (point invalidation). */
     void invalidate(std::string_view path);
+    void invalidate(std::string_view path, uint64_t key);
 
     /**
      * Drop every entry at or under @p prefix — the subtree/prefix
@@ -105,6 +140,7 @@ class MetadataCache {
      * @return number of entries dropped.
      */
     int64_t invalidate_prefix(std::string_view prefix);
+    int64_t invalidate_prefix(std::string_view prefix, uint64_t key);
 
     /** Remove everything. */
     void clear();
@@ -140,19 +176,36 @@ class MetadataCache {
 
     /** One trie node; holds a value iff an inode is cached at this path. */
     struct Node {
-        /** Component spelling (inline when short). The only field a walk
-            level's verify reads, so it leads the node. */
-        std::string name;
+        /** Whole normalized path ("/a/b"; the root's is "/"). The only
+            field a probe's exact check reads, so it leads the node. */
+        std::string path = "/";
         uint32_t parent = kNil;
         uint32_t first_child = kNil;
         uint32_t next_sibling = kNil;  ///< doubles as the free-list link
         uint32_t prev_sibling = kNil;
-        uint64_t edge_key = 0;  ///< this node's key in edges_
+        uint64_t key = path::kRootKey;  ///< fnv1a(path): its key in edges_
         // Intrusive LRU links (valid only while value is set).
         uint32_t lru_prev = kNil;
         uint32_t lru_next = kNil;
-        size_t value_bytes = 0;
+        uint32_t name_off = 1;  ///< where the last component starts in path
+        uint32_t value_bytes = 0;
         std::optional<ns::INode> value;
+
+        std::string_view
+        name() const
+        {
+            return std::string_view(path).substr(name_off);
+        }
+    };
+
+    /** put_chain_guarded()'s cursor: the current entry's keys and trie
+        node (nodes are created on the way down; the ones left without
+        a value are pruned at the end). */
+    struct ChainWalk {
+        uint64_t key = path::kRootKey;
+        uint64_t parent_key = path::kRootKey;
+        int depth = 0;
+        uint32_t node = kRoot;
     };
 
     /**
@@ -225,6 +278,7 @@ class MetadataCache {
     /** One invalidation observed while ≥1 store read was in flight. */
     struct InvLogEntry {
         uint64_t seq = 0;
+        uint64_t key = 0;  ///< path::keys(path).self
         std::string path;  ///< as invalidated; slot keeps its capacity
         int depth = 0;     ///< path::depth(path)
         bool prefix = false;
@@ -236,12 +290,26 @@ class MetadataCache {
         uint32_t readers = 0;
     };
 
-    void log_invalidation(std::string_view path, bool prefix);
-    bool invalidated_since(std::string_view path, ReadToken token) const;
+    void log_invalidation(std::string_view path, uint64_t key, bool prefix);
+    /** True if @p path (whole-path @p key, @p depth components) was
+        invalidated, point or covering prefix, after @p token. */
+    bool invalidated_since(std::string_view path, uint64_t key, int depth,
+                           ReadToken token) const;
 
-    uint32_t find(std::string_view path) const;
+    uint32_t find(std::string_view path, uint64_t key) const;
+    uint32_t child_or_create(uint32_t parent, std::string_view comp,
+                             uint64_t key);
     uint32_t child_or_create(uint32_t parent, std::string_view comp);
     uint32_t find_or_create(std::string_view path);
+
+    // put_chain_guarded() steps.
+    void step(ChainWalk& walk, const ns::INode& inode);
+    void install_guarded(ChainWalk& walk, const std::vector<ns::INode>& chain,
+                         const ns::INode& inode, ReadToken token);
+
+    /** put() of @p path, whose keys are @p keys. */
+    void put(std::string_view path, const path::PathKeys& keys,
+             const ns::INode& inode);
     void release_node(uint32_t node);
     void set_value(uint32_t node, const ns::INode& inode);
     void drop_value(uint32_t node, bool count_as_invalidation);
@@ -258,7 +326,7 @@ class MetadataCache {
         may move nodes — never hold a Node& across an allocation. */
     std::vector<Node> nodes_;
     uint32_t free_head_ = kNil;
-    /** (parent, component) -> child index, for every node but the root. */
+    /** Whole-path key -> node index, for every node but the root. */
     util::ChildTable<uint32_t> edges_;
     size_t entries_ = 0;
     size_t bytes_ = 0;

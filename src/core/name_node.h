@@ -28,6 +28,7 @@
 #include "src/sim/simulation.h"
 #include "src/store/metadata_store.h"
 #include "src/util/overload.h"
+#include "src/util/path.h"
 
 namespace lfs::core {
 
@@ -102,6 +103,7 @@ class NameNode : public faas::FunctionApp, public coord::CacheMember {
     // coord::CacheMember
     bool member_alive() const override { return instance_.alive(); }
     sim::Task<void> deliver_invalidation(const std::string& path,
+                                         uint64_t key,
                                          bool subtree) override;
 
     cache::MetadataCache& cache() { return cache_; }
@@ -127,16 +129,25 @@ class NameNode : public faas::FunctionApp, public coord::CacheMember {
     sim::Task<OpResult> handle_write(const Op& op);
     sim::Task<OpResult> handle_subtree(const Op& op);
 
-    /** Coherence round for a single-inode write on @p op. With
-        @p invalidate_ancestors, point INVs also cover every ancestor of
-        op.path (mkdirs materialising missing intermediate dirs). */
-    sim::Task<void> run_coherence(const Op& op, bool invalidate_ancestors);
+    /** Coherence round for a single-inode write on @p op, whose path
+        has @p keys. With @p invalidate_ancestors, point INVs also cover
+        every ancestor of op.path (mkdirs materialising missing
+        intermediate dirs). */
+    sim::Task<void> run_coherence(const Op& op, const path::PathKeys& keys,
+                                  bool invalidate_ancestors);
 
     /** Prefix-invalidation round for the subtree op @p op. */
     sim::Task<void> run_subtree_coherence(Op op);
 
-    /** Invalidate the local cache entries a write on @p op touches. */
-    void invalidate_local(const Op& op);
+    /**
+     * A write's parent-resolve round trip: stat op.path's parent in the
+     * store and, on @p home, cache the resolved chain's own-partition
+     * entries. Merges the round trip's ledger into @p ledger when
+     * attributing and returns the resolve's status, so the write's frame
+     * holds no second OpResult.
+     */
+    sim::Task<Status> resolve_parent(const Op& op, bool home,
+                                     sim::LatencyLedger& ledger);
 
     /** Cache the chain entries whose partition this deployment owns,
         via the in-flight read guard taken before the store read. */

@@ -16,7 +16,7 @@ int
 NamespacePartitioner::deployment_for(std::string_view p) const
 {
     // Same as ring_.lookup(path::parent(p)), minus the parent string.
-    return ring_.lookup_hash(mix64(path::parent_hash(p)));
+    return deployment_for_parent(path::parent_hash(p));
 }
 
 std::vector<int>

@@ -7,6 +7,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -27,6 +28,17 @@ class NamespacePartitioner {
      * "/a/b/c" agree). Allocation-free.
      */
     int deployment_for(std::string_view p) const;
+
+    /**
+     * deployment_for() of a path whose parent directory has the whole-path
+     * key @p parent_key (path::PathKeys::parent): callers that already
+     * hashed the path route without hashing it again.
+     */
+    int
+    deployment_for_parent(uint64_t parent_key) const
+    {
+        return ring_.lookup_hash(mix64(parent_key));
+    }
 
     /** All deployment ids (subtree operations invalidate everywhere). */
     std::vector<int> all_deployments() const;

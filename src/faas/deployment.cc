@@ -143,6 +143,23 @@ FunctionDeployment::drain_queue()
     }
 }
 
+Status
+FunctionDeployment::admit(const Op& op, sim::Span& gateway_span)
+{
+    if (config_.max_queue_depth > 0 &&
+        wait_queue_.size() >= static_cast<size_t>(config_.max_queue_depth)) {
+        shed_queue_full_.add();
+        gateway_span.annotate("shed", "queue_full");
+        return Status::resource_exhausted("gateway queue full: " + name_);
+    }
+    if (op_expired(op, sim_.now())) {
+        shed_expired_.add();
+        gateway_span.annotate("shed", "expired");
+        return Status::deadline_exceeded("expired at gateway");
+    }
+    return Status::make_ok();
+}
+
 sim::Task<OpResult>
 FunctionDeployment::invoke_via_gateway(Invocation inv)
 {
@@ -160,65 +177,39 @@ FunctionDeployment::invoke_via_gateway(Invocation inv)
     }
     // Admission control at the gateway: bound the queue and refuse work
     // that is already past its deadline, paying only the HTTP round trip.
-    if (config_.max_queue_depth > 0 &&
-        wait_queue_.size() >= static_cast<size_t>(config_.max_queue_depth)) {
-        shed_queue_full_.add();
-        gateway_span.annotate("shed", "queue_full");
-        OpResult shed;
-        shed.status = Status::resource_exhausted("gateway queue full: " +
-                                                 name_);
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kHttpGateway);
+    Status refused = admit(inv.op, gateway_span);
+    FunctionInstance* inst = nullptr;
+    if (refused.ok()) {
+        sim::Span queue_span = sim_.tracer().start_span(
+            "faas", "queue_wait", gateway_span.context());
+        auto cell = std::make_shared<sim::OneShot<FunctionInstance*>>(sim_);
+        sim::SimTime enqueued = sim_.now();
+        wait_queue_.push_back(
+            QueuedInvocation{cell, enqueued, inv.op.deadline});
+        drain_queue();
+        inst = co_await cell->wait();
         if (attr) {
-            led.add(sim::LatSeg::kNetGateway, sim_.now() - t0);
-            shed.ledger = led;
+            led.add(sim::LatSeg::kGatewayQueue, sim_.now() - enqueued);
         }
-        co_return shed;
-    }
-    if (op_expired(inv.op, sim_.now())) {
-        shed_expired_.add();
-        gateway_span.annotate("shed", "expired");
-        OpResult shed;
-        shed.status = Status::deadline_exceeded("expired at gateway");
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kHttpGateway);
-        if (attr) {
-            led.add(sim::LatSeg::kNetGateway, sim_.now() - t0);
-            shed.ledger = led;
+        if (inst == nullptr) {
+            // Shed while queued (drain_queue resolved the cell to nullptr).
+            bool expired = op_expired(inv.op, sim_.now());
+            queue_span.annotate("shed", expired ? "expired" : "sojourn");
+            refused = expired
+                          ? Status::deadline_exceeded("expired in gateway queue")
+                          : Status::resource_exhausted(
+                                "shed from gateway queue: " + name_);
         }
-        co_return shed;
-    }
-    sim::Span queue_span = sim_.tracer().start_span("faas", "queue_wait",
-                                                    gateway_span.context());
-    auto cell = std::make_shared<sim::OneShot<FunctionInstance*>>(sim_);
-    sim::SimTime enqueued = sim_.now();
-    wait_queue_.push_back(
-        QueuedInvocation{cell, enqueued, inv.op.deadline});
-    drain_queue();
-    FunctionInstance* inst = co_await cell->wait();
-    if (attr) {
-        led.add(sim::LatSeg::kGatewayQueue, sim_.now() - enqueued);
-    }
-    if (inst == nullptr) {
-        // Shed while queued (drain_queue resolved the cell to nullptr).
-        bool expired = op_expired(inv.op, sim_.now());
-        queue_span.annotate("shed", expired ? "expired" : "sojourn");
         queue_span.end();
-        OpResult shed;
-        shed.status =
-            expired
-                ? Status::deadline_exceeded("expired in gateway queue")
-                : Status::resource_exhausted("shed from gateway queue: " +
-                                             name_);
+    }
+    if (!refused.ok()) {
         t0 = sim_.now();
         co_await network_.transfer(net::LatencyClass::kHttpGateway);
         if (attr) {
             led.add(sim::LatSeg::kNetGateway, sim_.now() - t0);
-            shed.ledger = led;
         }
-        co_return shed;
+        co_return error_result(std::move(refused), attr, led);
     }
-    queue_span.end();
     OpResult result = co_await inst->serve_http(std::move(inv));
     t0 = sim_.now();
     co_await network_.transfer(net::LatencyClass::kHttpGateway);

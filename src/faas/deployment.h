@@ -108,6 +108,10 @@ class FunctionDeployment {
         sim::SimTime deadline = -1;
     };
 
+    /** Gateway admission for @p op: a queue-full or already-expired
+        refusal (counted and annotated on @p gateway_span), else ok. */
+    Status admit(const Op& op, sim::Span& gateway_span);
+
     FunctionInstance* find_http_slot();
     FunctionInstance* try_scale_out(bool cold);
     sim::Task<void> watch_warm(FunctionInstance* instance);

@@ -67,6 +67,7 @@ class LambdaIndexNode : public faas::FunctionApp, public coord::CacheMember {
 
     bool member_alive() const override;
     sim::Task<void> deliver_invalidation(const std::string& path,
+                                         uint64_t key,
                                          bool subtree) override;
 
   private:

@@ -177,6 +177,18 @@ error_result(Status status)
     return result;
 }
 
+/** error_result(@p status) carrying @p ledger when @p attr (attribution
+    on); the ledger stays empty otherwise. */
+inline OpResult
+error_result(Status status, bool attr, const sim::LatencyLedger& ledger)
+{
+    OpResult result = error_result(std::move(status));
+    if (attr) {
+        result.ledger = ledger;
+    }
+    return result;
+}
+
 /** What a client's timer delivers when an attempt got no reply in time. */
 inline OpResult
 client_timeout()

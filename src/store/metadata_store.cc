@@ -217,17 +217,6 @@ MetadataStore::admit(size_t shard_idx, const Op& op, sim::Span& txn_span)
     return st;
 }
 
-OpResult
-MetadataStore::shed_result(Status st, const sim::LatencyLedger& led)
-{
-    OpResult shed;
-    shed.status = std::move(st);
-    if (sim_.attribution()) {
-        shed.ledger = led;
-    }
-    return shed;
-}
-
 sim::Task<OpResult>
 MetadataStore::read_op(const Op& op)
 {

@@ -183,9 +183,6 @@ class MetadataStore {
      */
     Status admit(size_t shard_idx, const Op& op, sim::Span& txn_span);
 
-    /** A refused transaction's reply: @p st, plus @p led when attributing. */
-    OpResult shed_result(Status st, const sim::LatencyLedger& led);
-
     /** Ids that a write on @p op must lock (parent, target, dst parent). */
     std::vector<ns::INodeId> write_lock_set(const Op& op) const;
 
@@ -273,7 +270,7 @@ MetadataStore::write_op(const Op& op, Hook after_lock)
         if (attr) {
             led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
         }
-        co_return shed_result(std::move(st), led);
+        co_return error_result(std::move(st), attr, led);
     }
     OpResult result = ns::apply_write(tree_, op, sim_.now());
     // Faults are charged while the row locks are held: a sub-resident

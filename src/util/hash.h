@@ -16,6 +16,8 @@ namespace lfs {
 
 /** FNV-1a offset basis — seed for incremental hashing via fnv1a_mix. */
 inline constexpr uint64_t kFnv1aBasis = 14695981039346656037ULL;
+/** FNV-1a 64-bit prime: each byte is xored in, then multiplied by it. */
+inline constexpr uint64_t kFnv1aPrime = 1099511628211ULL;
 
 /**
  * Fold @p s into a running FNV-1a hash @p h. Hashing pieces in sequence
@@ -28,7 +30,7 @@ fnv1a_mix(uint64_t h, std::string_view s)
 {
     for (char c : s) {
         h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
+        h *= kFnv1aPrime;
     }
     return h;
 }

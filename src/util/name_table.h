@@ -146,9 +146,9 @@ class NameTable {
  * Two key disciplines share this table:
  *  - unique keys (interned name id -> inode id in directory tables, inode
  *    id -> slab slot in the residency index): find_exact()/erase_key();
- *  - hash keys with caller-side verification ((parent, component hash)
- *    -> trie node index in the metadata cache's edge table, where
- *    distinct names may collide): find(key, verify)/erase(key, value).
+ *  - hash keys with caller-side verification (whole-path hash -> trie
+ *    node index in the metadata cache's edge table, where distinct paths
+ *    may collide): find(key, verify)/erase(key, value).
  */
 template <class V>
 class ChildTable {

@@ -64,28 +64,56 @@ parent(std::string_view p)
     return out;
 }
 
+PathKeys
+keys(std::string_view p)
+{
+    // One byte loop: split and hash in the same pass (the per-level
+    // equivalent is child_key over PathView).
+    PathKeys k;
+    const size_t n = p.size();
+    size_t i = 0;
+    for (;;) {
+        while (i < n && p[i] == '/') {
+            ++i;
+        }
+        if (i == n) {
+            return k;
+        }
+        uint64_t h = k.depth == 0 ? k.self : fnv1a_mix(k.self, "/");
+        for (; i < n && p[i] != '/'; ++i) {
+            h ^= static_cast<unsigned char>(p[i]);
+            h *= kFnv1aPrime;
+        }
+        k.grandparent = k.parent;
+        k.parent = k.self;
+        k.self = h;
+        ++k.depth;
+    }
+}
+
 uint64_t
 parent_hash(std::string_view p)
 {
-    // Hash "/comp" for every component but the last — the bytes parent()
-    // would build — or the bare "/" when that leaves nothing.
-    uint64_t h = kFnv1aBasis;
-    std::string_view prev;
-    bool have_prev = false;
-    bool hashed = false;
-    for (std::string_view c : PathView(p)) {
-        if (have_prev) {
-            h = fnv1a_mix(h, "/");
-            h = fnv1a_mix(h, prev);
-            hashed = true;
+    return keys(p).parent;
+}
+
+bool
+same(std::string_view a, std::string_view b)
+{
+    auto bit = PathView(b).begin();
+    for (std::string_view c : PathView(a)) {
+        if (bit == std::default_sentinel || *bit != c) {
+            return false;
         }
-        prev = c;
-        have_prev = true;
+        ++bit;
     }
-    if (!hashed) {
-        h = fnv1a_mix(h, "/");
-    }
-    return h;
+    return bit == std::default_sentinel;
+}
+
+bool
+is_root(std::string_view p)
+{
+    return p.find_first_not_of('/') == std::string_view::npos;
 }
 
 std::string_view

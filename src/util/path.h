@@ -19,6 +19,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/hash.h"
+
 namespace lfs::path {
 
 /**
@@ -106,13 +108,50 @@ std::vector<std::string> split(std::string_view p);
 /** Parent directory ("/a/b" -> "/a"; "/a" -> "/"; "/" -> "/"). */
 std::string parent(std::string_view p);
 
+/** fnv1a("/"): the key of the root's normalized spelling. */
+inline constexpr uint64_t kRootKey = fnv1a("/");
+
 /**
- * fnv1a(parent(p)) without building the parent string: the parent's
- * normalized spelling ("/" + each component but the last) is folded into
- * the hash component by component. Byte-identical to hashing parent(p),
- * so it can stand in wherever a parent path is a hash key. Allocation-free.
+ * Whole-path keys of a path and of its two nearest ancestors: each is the
+ * FNV-1a hash of that path's normalized spelling, folded in component by
+ * component from one pass over @p p (no string is built). The root's
+ * parent is the root, so every key of "/" (and of "/a"'s ancestors) is
+ * kRootKey. The partitioner routes on `parent`, the metadata cache
+ * probes on `self`. Allocation-free.
+ */
+struct PathKeys {
+    uint64_t self = kRootKey;         ///< fnv1a(normalize(p))
+    uint64_t parent = kRootKey;       ///< fnv1a(parent(p))
+    uint64_t grandparent = kRootKey;  ///< fnv1a(parent(parent(p)))
+    int depth = 0;                    ///< components in p
+};
+
+PathKeys keys(std::string_view p);
+
+/**
+ * Key of the child @p comp of a directory keyed @p dir (whose path is the
+ * root iff @p dir_is_root): fnv1a(join(dir_path, comp)), from the
+ * directory's key and the component alone.
+ */
+inline uint64_t
+child_key(uint64_t dir, bool dir_is_root, std::string_view comp)
+{
+    return fnv1a_mix(dir_is_root ? dir : fnv1a_mix(dir, "/"), comp);
+}
+
+/**
+ * fnv1a(parent(p)) without building the parent string — keys(p).parent.
+ * Byte-identical to hashing parent(p), so it can stand in wherever a
+ * parent path is a hash key. Allocation-free.
  */
 uint64_t parent_hash(std::string_view p);
+
+/** True if @p a and @p b normalize to the same path ("//a//b/" and
+    "/a/b" do; "/ab" and "/a/b" do not). Allocation-free. */
+bool same(std::string_view a, std::string_view b);
+
+/** True if @p p names the root (nothing but slashes, or empty). */
+bool is_root(std::string_view p);
 
 /**
  * parent without the string copy; views a prefix of @p p (or the static

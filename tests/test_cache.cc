@@ -170,6 +170,120 @@ TEST(MetadataCache, HitRate)
     EXPECT_NEAR(cache.hit_rate(), 2.0 / 3.0, 1e-9);
 }
 
+TEST(MetadataCache, UnnormalizedSpellingsHitInvalidateAndPrefixDrop)
+{
+    // Entries are installed under normalized paths; every operation
+    // must find them under any spelling that normalizes the same way.
+    MetadataCache cache;
+    cache.put("/a/b", make_inode(2, "b"));
+    cache.put("/a/b/c", make_inode(3, "c"));
+    cache.put("/a/x", make_inode(4, "x"));
+    EXPECT_TRUE(cache.get("//a//b/").has_value());
+    EXPECT_TRUE(cache.contains("a/b//c"));
+    const std::string spelled = "/a///b//";
+    EXPECT_TRUE(cache.get(spelled, path::keys(spelled).self).has_value());
+
+    cache.invalidate("//a/b//c/");
+    EXPECT_FALSE(cache.contains("/a/b/c"));
+    EXPECT_TRUE(cache.contains("/a/b"));
+
+    cache.put("/a/b/c", make_inode(3, "c"));
+    EXPECT_EQ(cache.invalidate_prefix("//a//b"), 2);
+    EXPECT_FALSE(cache.contains("/a/b"));
+    EXPECT_FALSE(cache.contains("/a/b/c"));
+    EXPECT_TRUE(cache.contains("/a/x"));
+
+    // And the other way round: installed through a messy spelling,
+    // found under the normalized one.
+    cache.put("//m//n/", make_inode(5, "n"));
+    EXPECT_TRUE(cache.contains("/m/n"));
+    EXPECT_EQ(cache.invalidate_prefix("/m/"), 1);
+    EXPECT_EQ(cache.entries(), 1u);
+}
+
+TEST(MetadataCache, NearMissSpellingsNeverMatch)
+{
+    MetadataCache cache;
+    cache.put("/a/b", make_inode(2, "b"));
+    EXPECT_FALSE(cache.contains("/ab"));
+    EXPECT_FALSE(cache.contains("/a/bc"));
+    EXPECT_FALSE(cache.contains("/a/b/c"));
+    EXPECT_FALSE(cache.contains("/a"));
+    // A probe whose key collides with a cached path's key (forced here by
+    // passing that path's key) must still miss: the exact check compares
+    // the stored path, not just the key.
+    const uint64_t key = path::keys("/a/b").self;
+    EXPECT_FALSE(cache.contains("/ab", key));
+    EXPECT_FALSE(cache.get("/a/bc", key).has_value());
+    cache.invalidate("/a/bc", key);
+    EXPECT_EQ(cache.invalidate_prefix("/ab", key), 0);
+    EXPECT_TRUE(cache.contains("/a/b"));
+    EXPECT_EQ(cache.invalidations(), 0u);
+
+    // The read guard: a point INV of a near-miss spelling, even under a
+    // colliding key, must not reject an install of the real path; one of
+    // an unnormalized spelling of the same path must.
+    auto token = cache.begin_read();
+    cache.invalidate("/ab", key);
+    cache.invalidate("/a/bc");
+    cache.put_guarded("/a/b", make_inode(3, "b"), token);
+    EXPECT_EQ(cache.guard_rejections(), 0u);
+    cache.invalidate("//a//b/");
+    cache.put_guarded("/a/b", make_inode(4, "b"), token);
+    EXPECT_EQ(cache.guard_rejections(), 1u);
+    cache.end_read(token);
+    EXPECT_FALSE(cache.contains("/a/b"));
+}
+
+TEST(MetadataCache, GuardedChainInstallsOnlyOwnedEntries)
+{
+    // put_chain_guarded hands the filter each entry's parent key and
+    // installs exactly the entries it accepts — here those whose parent
+    // is "/a" or the root — leaving no empty nodes for the rest.
+    MetadataCache cache;
+    std::vector<ns::INode> chain = {
+        make_inode(ns::kRootId, "", ns::INodeType::kDirectory),
+        make_inode(2, "a", ns::INodeType::kDirectory),
+        make_inode(3, "b", ns::INodeType::kDirectory),
+        make_inode(4, "c"),
+    };
+    std::vector<uint64_t> seen;
+    auto token = cache.begin_read();
+    cache.invalidate("/a/b/c");
+    cache.put_chain_guarded(chain, token, [&](uint64_t parent_key) {
+        seen.push_back(parent_key);
+        return parent_key == path::kRootKey ||
+               parent_key == path::keys("/a").self ||
+               parent_key == path::keys("/a/b").self;
+    });
+    cache.end_read(token);
+    EXPECT_EQ(seen, (std::vector<uint64_t>{
+                        path::kRootKey, path::kRootKey,
+                        path::keys("/a").self, path::keys("/a/b").self}));
+    EXPECT_TRUE(cache.contains("/"));
+    EXPECT_TRUE(cache.contains("/a"));
+    EXPECT_TRUE(cache.contains("/a/b"));
+    EXPECT_FALSE(cache.contains("/a/b/c"));  // the guard rejected it
+    EXPECT_EQ(cache.guard_rejections(), 1u);
+
+    // Filter everything out: the descent's nodes are pruned again, so
+    // installing nothing from many distinct chains grows nothing.
+    cache.clear();
+    auto none = [](uint64_t) { return false; };
+    auto chain_of = [&](int i) {
+        std::vector<ns::INode> c = chain;
+        c[1].name = "p" + std::to_string(i);
+        return c;
+    };
+    cache.put_chain_guarded(chain_of(0), 0, none);
+    const size_t warm_bytes = cache.resident_bytes();
+    for (int i = 1; i < 200; ++i) {
+        cache.put_chain_guarded(chain_of(i), 0, none);
+    }
+    EXPECT_EQ(cache.resident_bytes(), warm_bytes);
+    EXPECT_EQ(cache.entries(), 0u);
+}
+
 /**
  * Property sweep: under random workloads the cache must never exceed its
  * byte budget, and entry count must match byte accounting.

@@ -18,7 +18,13 @@
  *     and edge-table slots are reused under every shape of removal;
  *   - overlapping reads: many read tokens retire out of order while the
  *     guard log wraps and grows, and every guarded install is checked
- *     against a reference log.
+ *     against a reference log;
+ *   - spellings: operations and probes name paths through random
+ *     unnormalized spellings ("//a//b/", "a/b") of the model's
+ *     normalized keys, which must behave exactly like the normalized
+ *     path;
+ *   - one-descent chain installs: put_chain_guarded under a random
+ *     partition filter must match put_guarded of each accepted entry.
  */
 #include <gtest/gtest.h>
 
@@ -29,6 +35,8 @@
 #include <vector>
 
 #include "src/cache/metadata_cache.h"
+#include "src/util/hash.h"
+#include "src/util/path.h"
 
 namespace lfs {
 namespace {
@@ -101,6 +109,47 @@ is_under(const std::string& p, const std::string& prefix)
            p[prefix.size()] == '/';
 }
 
+/**
+ * A random spelling of the normalized path @p p that normalizes back to
+ * it: doubled slashes, a trailing slash, or no leading slash.
+ */
+std::string
+respell(const std::string& p, Rng& rng)
+{
+    if (rng.next(3) == 0) {
+        return p;  // keep the normalized spelling common
+    }
+    std::string out;
+    for (char c : p) {
+        out += c;
+        if (c == '/' && rng.next(3) == 0) {
+            out.append(1 + rng.next(2), '/');
+        }
+    }
+    if (rng.next(3) == 0) {
+        out += '/';
+    }
+    if (out.size() > 1 && rng.next(4) == 0) {
+        out.erase(0, out.find_first_not_of('/'));
+    }
+    return out;
+}
+
+/** A fixed unnormalized spelling of @p p: every slash doubled, plus a
+    trailing one. */
+std::string
+messy(const std::string& p)
+{
+    std::string out;
+    for (char c : p) {
+        out += c;
+        if (c == '/') {
+            out += '/';
+        }
+    }
+    return out + "/";
+}
+
 /** Root-first inode chain for @p path ("/a/b" -> [a, b], named). */
 std::vector<ns::INode>
 chain_for(const std::string& path, uint64_t version)
@@ -150,11 +199,12 @@ TEST(CacheFuzz, MatchesReferenceModelUnlimitedBudget)
 
         for (int step = 0; step < 4000; ++step) {
             const std::string& p = paths[rng.next(paths.size())];
+            const std::string spelled = respell(p, rng);
             switch (rng.next(6)) {
             case 0:
             case 1: {  // put
                 ns::INode inode = make_inode(++version, p.substr(p.rfind('/') + 1));
-                cache.put(p, inode);
+                cache.put(spelled, inode);
                 model[p] = inode;
                 break;
             }
@@ -170,12 +220,12 @@ TEST(CacheFuzz, MatchesReferenceModelUnlimitedBudget)
                 break;
             }
             case 3: {  // point invalidate
-                cache.invalidate(p);
+                cache.invalidate(spelled);
                 model.erase(p);
                 break;
             }
             case 4: {  // prefix invalidate
-                cache.invalidate_prefix(p);
+                cache.invalidate_prefix(spelled);
                 for (auto it = model.begin(); it != model.end();) {
                     if (is_under(it->first, p)) {
                         it = model.erase(it);
@@ -186,10 +236,11 @@ TEST(CacheFuzz, MatchesReferenceModelUnlimitedBudget)
                 break;
             }
             default: {  // probe
-                auto hit = cache.get(p);
+                auto hit = cache.get(spelled);
                 auto it = model.find(p);
                 ASSERT_EQ(hit.has_value(), it != model.end())
-                    << "seed=" << seed << " step=" << step << " path=" << p;
+                    << "seed=" << seed << " step=" << step
+                    << " path=" << spelled;
                 if (hit.has_value()) {
                     EXPECT_EQ(hit->id, it->second.id);
                     EXPECT_EQ(hit->name, it->second.name);
@@ -207,6 +258,8 @@ TEST(CacheFuzz, MatchesReferenceModelUnlimitedBudget)
             auto it = model.find(p);
             ASSERT_EQ(cache.contains(p), it != model.end())
                 << "seed=" << seed << " path=" << p;
+            ASSERT_EQ(cache.contains(messy(p)), it != model.end())
+                << "seed=" << seed << " path=" << messy(p);
             if (it != model.end()) {
                 ++live;
                 auto hit = cache.get(p);
@@ -324,8 +377,10 @@ expect_agrees(cache::MetadataCache& cache,
             auto it = model.find(p);
             ASSERT_EQ(cache.contains(p), it != model.end())
                 << where << " path=" << p;
+            ASSERT_EQ(cache.contains(messy(p)), it != model.end())
+                << where << " path=" << messy(p);
             if (it != model.end()) {
-                auto hit = cache.get(p);
+                auto hit = cache.get(messy(p));
                 ASSERT_TRUE(hit.has_value()) << where << " path=" << p;
                 EXPECT_EQ(hit->id, it->second.id) << where << " path=" << p;
             }
@@ -472,11 +527,12 @@ TEST(CacheFuzz, OverlappingReadsWrapAndGrowTheGuardLog)
         uint64_t rejections = 0;
 
         auto invalidate = [&](const std::string& p, bool prefix) {
+            const std::string spelled = respell(p, rng);
             if (prefix) {
-                cache.invalidate_prefix(p);
+                cache.invalidate_prefix(spelled);
                 model_drop_prefix(model, p);
             } else {
-                cache.invalidate(p);
+                cache.invalidate(spelled);
                 model.erase(p);
             }
             guard.history.push_back({p, prefix});
@@ -522,7 +578,7 @@ TEST(CacheFuzz, OverlappingReadsWrapAndGrowTheGuardLog)
                 const bool reject = guard.rejects(read, p);
                 ns::INode inode =
                     make_inode(++version, p.substr(p.rfind('/') + 1));
-                cache.put_guarded(p, inode, read.token);
+                cache.put_guarded(respell(p, rng), inode, read.token);
                 if (reject) {
                     ++rejections;
                 } else {
@@ -537,6 +593,96 @@ TEST(CacheFuzz, OverlappingReadsWrapAndGrowTheGuardLog)
         }
         expect_agrees(cache, model, paths, "final");
         EXPECT_GT(rejections, 0u);
+    }
+}
+
+TEST(CacheFuzz, GuardedChainInstallMatchesPerEntryInstalls)
+{
+    // put_chain_guarded installs a resolved chain in one descent, asking
+    // a partition filter about each entry's parent key. Its twin installs
+    // the same entries one by one through put_guarded on joined paths,
+    // as a NameNode did before; both must end up identical — entries,
+    // values, LRU order (hence evictions), guard rejections — including
+    // under a budget small enough that an install evicts its own entry.
+    const std::vector<std::string> universe = deep_universe();
+    for (size_t budget : {size_t{0}, size_t{50}, size_t{150}, size_t{1200},
+                          size_t{1} << 30}) {
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            Rng rng(seed * 0x31337ull + budget);
+            cache::CacheConfig config;
+            config.capacity_bytes = budget;
+            cache::MetadataCache chained(config);
+            cache::MetadataCache twin(config);
+            const uint64_t salt = rng.next();
+            auto owns = [&](uint64_t parent_key) {
+                return (mix64(parent_key ^ salt) & 3) != 0;
+            };
+            std::vector<cache::MetadataCache::ReadToken> open;
+            uint64_t version = 0;
+            for (int step = 0; step < 1500; ++step) {
+                const std::string& leaf = universe[rng.next(universe.size())];
+                const std::vector<std::string> prefixes = prefixes_of(leaf);
+                const std::string& p = prefixes[rng.next(prefixes.size())];
+                const uint64_t op = rng.next(10);
+                if (op < 2) {
+                    open.push_back(chained.begin_read());
+                    ASSERT_EQ(twin.begin_read(), open.back());
+                } else if (op < 3 && !open.empty()) {
+                    const size_t k = rng.next(open.size());
+                    chained.end_read(open[k]);
+                    twin.end_read(open[k]);
+                    open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+                } else if (op < 5) {
+                    const bool prefix = rng.next(4) == 0;
+                    const std::string spelled = respell(p, rng);
+                    if (prefix) {
+                        chained.invalidate_prefix(spelled);
+                        twin.invalidate_prefix(spelled);
+                    } else {
+                        chained.invalidate(spelled);
+                        twin.invalidate(spelled);
+                    }
+                } else {
+                    std::vector<ns::INode> chain;
+                    ns::INode root = make_inode(0, "");
+                    root.id = ns::kRootId;
+                    root.type = ns::INodeType::kDirectory;
+                    chain.push_back(root);
+                    for (ns::INode& inode : chain_for(p, version)) {
+                        chain.push_back(std::move(inode));
+                    }
+                    version += chain.size();
+                    const cache::MetadataCache::ReadToken token =
+                        open.empty() ? 0 : open[rng.next(open.size())];
+                    chained.put_chain_guarded(chain, token, owns);
+                    std::string joined = "/";
+                    for (const ns::INode& inode : chain) {
+                        if (inode.id != ns::kRootId) {
+                            joined = path::join(joined, inode.name);
+                        }
+                        if (owns(path::parent_hash(joined))) {
+                            twin.put_guarded(joined, inode, token);
+                        }
+                    }
+                }
+                ASSERT_EQ(chained.entries(), twin.entries())
+                    << "budget=" << budget << " seed=" << seed
+                    << " step=" << step;
+                ASSERT_EQ(chained.bytes(), twin.bytes());
+                ASSERT_EQ(chained.guard_rejections(), twin.guard_rejections());
+                ASSERT_EQ(chained.evictions(), twin.evictions());
+            }
+            for (const std::string& leaf : universe) {
+                for (const std::string& q : prefixes_of(leaf)) {
+                    auto a = chained.get(q);
+                    auto b = twin.get(q);
+                    ASSERT_EQ(a.has_value(), b.has_value()) << q;
+                    if (a.has_value()) {
+                        EXPECT_EQ(a->id, b->id) << q;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -2,10 +2,11 @@
  * @file
  * Proves the MetadataCache hot path is allocation-free in steady state
  * (DESIGN.md §14): once a working set is installed, get()/contains() on
- * hits, misses, and deep paths must perform zero heap allocations, and
- * invalidations logged while store reads are in flight allocate nothing
- * once the guard log's ring is warm — nor grow the cache's footprint,
- * however many distinct never-cached paths they name.
+ * hits, misses, deep paths and unnormalized spellings, and guarded chain
+ * installs that refresh cached entries, must perform zero heap
+ * allocations, and invalidations logged while store reads are in flight
+ * allocate nothing once the guard log's ring is warm — nor grow the
+ * cache's footprint, however many distinct never-cached paths they name.
  *
  * The proof instruments the global allocator — this test lives in its
  * own binary (the test CMake glob builds one executable per test_*.cc)
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "src/cache/metadata_cache.h"
+#include "src/util/path.h"
 
 namespace {
 
@@ -120,12 +122,29 @@ TEST(CacheZeroAlloc, SteadyStateGetAllocatesNothing)
         ASSERT_FALSE(cache.get(p).has_value());
     }
 
+    std::vector<std::string> spelled;  // "//d0//f0/" for "/d0/f0"
+    for (const std::string& p : hits) {
+        std::string s;
+        for (char c : p) {
+            s += c;
+            if (c == '/') {
+                s += '/';
+            }
+        }
+        spelled.push_back(s + "/");
+    }
+
     uint64_t before = g_allocations;
     for (int round = 0; round < 8; ++round) {
         for (const std::string& p : hits) {
             auto hit = cache.get(p);
             if (!hit.has_value()) {
                 FAIL() << "lost entry " << p;
+            }
+        }
+        for (const std::string& p : spelled) {
+            if (!cache.get(p, path::keys(p).self).has_value()) {
+                FAIL() << "lost entry under spelling " << p;
             }
         }
         for (const std::string& p : misses) {
@@ -143,6 +162,40 @@ TEST(CacheZeroAlloc, SteadyStateGetAllocatesNothing)
         << " heap allocations";
 }
 
+TEST(CacheZeroAlloc, GuardedChainRefreshAllocatesNothing)
+{
+    // A read-path install of chains whose nodes already exist (the home
+    // instance re-caching what it holds) walks and refreshes in place.
+    cache::MetadataCache cache;
+    std::vector<std::vector<ns::INode>> chains;
+    for (int i = 0; i < 64; ++i) {
+        std::vector<ns::INode> chain;
+        ns::INode root;
+        root.id = ns::kRootId;
+        chain.push_back(root);
+        chain.push_back(make_inode(static_cast<uint64_t>(i % 8),
+                                   "d" + std::to_string(i % 8)));
+        chain.push_back(make_inode(static_cast<uint64_t>(100 + i),
+                                   "f" + std::to_string(i)));
+        chains.push_back(std::move(chain));
+    }
+    auto owns = [](uint64_t parent_key) { return parent_key % 3 != 0; };
+    auto warm = cache.begin_read();  // sizes the in-flight read list
+    for (const auto& chain : chains) {
+        cache.put_chain_guarded(chain, warm, owns);
+    }
+    cache.end_read(warm);
+    uint64_t before = g_allocations;
+    for (int round = 0; round < 8; ++round) {
+        auto token = cache.begin_read();
+        for (const auto& chain : chains) {
+            cache.put_chain_guarded(chain, token, owns);
+        }
+        cache.end_read(token);
+    }
+    EXPECT_EQ(g_allocations - before, 0u);
+}
+
 TEST(CacheZeroAlloc, InvalidateOfAbsentPathAllocatesNothing)
 {
     // The no-reader invalidation fast path (every coherence round hits
@@ -151,9 +204,11 @@ TEST(CacheZeroAlloc, InvalidateOfAbsentPathAllocatesNothing)
     cache.put("/d0/f0", make_inode(1, "f0"));
     cache.invalidate("/d0/absent");  // warm any lazy interning
     uint64_t before = g_allocations;
+    const uint64_t key = path::keys("/d0/other").self;
     for (int i = 0; i < 64; ++i) {
         cache.invalidate("/d0/absent");
         cache.invalidate("/never/seen");
+        cache.invalidate("/d0/other", key);
     }
     EXPECT_EQ(g_allocations - before, 0u);
     EXPECT_TRUE(cache.contains("/d0/f0"));

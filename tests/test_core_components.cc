@@ -63,12 +63,13 @@ TEST(Partitioner, DirectoriesSpreadAcrossDeployments)
     }
 }
 
-TEST(Partitioner, ParentHashMatchesHashOfParentOnUnnormalizedPaths)
+/**
+ * Random paths with the spellings path::parent normalizes away: doubled
+ * and trailing slashes, the root, relative and deep paths.
+ */
+std::vector<std::string>
+unnormalized_paths()
 {
-    // Random paths with the spellings path::parent normalizes away:
-    // doubled and trailing slashes, the root, relative and deep paths.
-    // deployment_for hashes the parent without building it; it must land
-    // exactly where the ring puts the built parent string.
     std::mt19937_64 rng(17);
     const char* names[] = {"a", "bb", "dir", "x_y", "long_component_name"};
     std::vector<std::string> paths = {"", "/", "//", "///", "a", "a/",
@@ -86,16 +87,57 @@ TEST(Partitioner, ParentHashMatchesHashOfParentOnUnnormalizedPaths)
         }
         paths.push_back(p);
     }
+    return paths;
+}
+
+TEST(Partitioner, ParentHashMatchesHashOfParentOnUnnormalizedPaths)
+{
+    // deployment_for hashes the parent without building it; it must land
+    // exactly where the ring puts the built parent string.
     NamespacePartitioner partitioner(7);
     ConsistentHashRing ring(64);
     for (int d = 0; d < 7; ++d) {
         ring.add_member(d);
     }
-    for (const std::string& p : paths) {
+    for (const std::string& p : unnormalized_paths()) {
         EXPECT_EQ(path::parent_hash(p), fnv1a(path::parent(p))) << p;
         EXPECT_EQ(partitioner.deployment_for(p), ring.lookup(path::parent(p)))
             << p;
     }
+}
+
+TEST(Partitioner, PathKeysHashTheNormalizedSpellings)
+{
+    // One pass yields the whole-path keys the metadata cache probes on
+    // and the parent key the partitioner routes on: each must equal the
+    // hash of the normalized string it stands for, whatever the spelling.
+    NamespacePartitioner partitioner(7);
+    for (const std::string& p : unnormalized_paths()) {
+        const path::PathKeys k = path::keys(p);
+        const std::string parent = path::parent(p);
+        EXPECT_EQ(k.self, fnv1a(path::normalize(p))) << p;
+        EXPECT_EQ(k.parent, path::parent_hash(p)) << p;
+        EXPECT_EQ(k.grandparent, fnv1a(path::parent(parent))) << p;
+        EXPECT_EQ(k.depth, path::depth(p)) << p;
+        EXPECT_EQ(partitioner.deployment_for_parent(k.parent),
+                  partitioner.deployment_for(p))
+            << p;
+        if (k.depth > 0) {
+            // Extending the parent's key by the last component gives the
+            // path's own key (the cache's level-by-level descent).
+            EXPECT_EQ(path::child_key(k.parent, k.depth == 1,
+                                      path::basename_view(p)),
+                      k.self)
+                << p;
+        }
+        EXPECT_TRUE(path::same(p, path::normalize(p))) << p;
+        EXPECT_EQ(path::is_root(p), k.depth == 0) << p;
+    }
+    EXPECT_EQ(path::keys("/").self, path::kRootKey);
+    EXPECT_FALSE(path::same("/ab", "/a/b"));
+    EXPECT_FALSE(path::same("/a/b", "/a/bc"));
+    EXPECT_FALSE(path::same("/a/b", "/a/b/c"));
+    EXPECT_FALSE(path::same("/a/b/c", "/a/b"));
 }
 
 TEST(Partitioner, AllDeploymentsEnumerates)

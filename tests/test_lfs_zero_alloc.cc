@@ -199,7 +199,7 @@ TEST(LfsZeroAlloc, CreatesStayWithinTheirAllocationBudget)
     ASSERT_EQ(passed, kOps);
     const double per_op = static_cast<double>(allocations) / kOps;
     std::printf("create: %.2f allocations/op\n", per_op);
-    EXPECT_LE(per_op, 40.0);
+    EXPECT_LE(per_op, 15.5);
 }
 
 }  // namespace

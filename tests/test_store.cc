@@ -146,6 +146,58 @@ TEST(LockTable, OrderedAcquisitionAvoidsDeadlock)
     EXPECT_EQ(completed, 100);
 }
 
+Task<void>
+co_lock_at(Simulation& sim, LockTable& locks, ns::INodeId id, bool exclusive,
+           sim::SimTime start, sim::SimTime hold,
+           std::vector<std::string>& events, std::string name)
+{
+    co_await sim::delay(sim, start);
+    if (exclusive) {
+        co_await locks.lock_exclusive(id);
+    } else {
+        co_await locks.lock_shared(id);
+    }
+    events.push_back(name + "@" + std::to_string(sim.now() / sim::msec(1)));
+    co_await sim::delay(sim, hold);
+    if (exclusive) {
+        locks.unlock_exclusive(id);
+    } else {
+        locks.unlock_shared(id);
+    }
+}
+
+TEST(LockTable, GrantsInFifoOrderAndBatchesSharedWaiters)
+{
+    // A writer holds row 3 while s1, s2, w2, s3 queue behind it. Its
+    // release grants s1 and s2 together, w2 waits for both, and s3 (a
+    // reader that could have shared with s1/s2) stays behind w2. Row 4
+    // churns alongside, so released rows are recycled mid-run.
+    Simulation sim;
+    LockTable locks(sim);
+    std::vector<std::string> events;
+    const sim::SimTime ms = sim::msec(1);
+    sim::spawn(co_lock_at(sim, locks, 3, true, 0, 10 * ms, events, "w1"));
+    sim::spawn(co_lock_at(sim, locks, 3, false, 1 * ms, 5 * ms, events, "s1"));
+    sim::spawn(co_lock_at(sim, locks, 3, false, 2 * ms, 7 * ms, events, "s2"));
+    sim::spawn(co_lock_at(sim, locks, 3, true, 3 * ms, 4 * ms, events, "w2"));
+    sim::spawn(co_lock_at(sim, locks, 3, false, 4 * ms, 1 * ms, events, "s3"));
+    for (int i = 0; i < 6; ++i) {
+        sim::spawn(co_lock_at(sim, locks, 4, i % 2 == 0, 3 * i * ms, ms,
+                              events, "r" + std::to_string(i)));
+    }
+    sim.run();
+    std::vector<std::string> row3;
+    for (const std::string& e : events) {
+        if (e[0] != 'r') {
+            row3.push_back(e);
+        }
+    }
+    EXPECT_EQ(row3, (std::vector<std::string>{"w1@0", "s1@10", "s2@10",
+                                              "w2@17", "s3@21"}));
+    EXPECT_FALSE(locks.is_locked(3));
+    EXPECT_FALSE(locks.is_locked(4));
+}
+
 TEST(LockTable, SubtreeOverlapDetection)
 {
     Simulation sim;
